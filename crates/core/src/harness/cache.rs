@@ -6,8 +6,8 @@
 //! existence means the point is solved — loading it replaces the run.
 //!
 //! Beyond the flat layout of [`MemoCache::at`], the
-//! [builder](MemoCache::builder) configures the *service* shape the `Sim`
-//! session and `stacksim serve` share:
+//! [builder](MemoCache::builder) configures the *service* shape every
+//! `stacksim` command and the `Sim` session share:
 //!
 //! * **Sharding** — entries spread across `s00/`..`sNN/` subdirectories
 //!   keyed by a hash over the whole digest, so a hot cache never funnels
@@ -163,7 +163,9 @@ impl MemoCache {
     }
 
     /// A flat, unbounded cache rooted at `dir` (created lazily on first
-    /// store) — the legacy CLI layout.
+    /// store) — the simplest layout, for library callers and tests. The
+    /// `stacksim` CLI opens a 16-shard [builder](MemoCache::builder)
+    /// cache instead.
     pub fn at(dir: impl Into<PathBuf>) -> Self {
         MemoCache {
             dir: Some(dir.into()),

@@ -1,12 +1,18 @@
-//! Text rendering of artifacts — the presentation layer shared by the
-//! `stacksim` CLI and the per-figure regenerator binaries.
+//! Text rendering of artifacts — the presentation layer behind
+//! `stacksim run <name> --show`. Each figure or table renders together
+//! with the static configuration the paper prints beside it: the Fig. 7
+//! option table with Fig. 8, the Fig. 9/10 floorplans with Fig. 11, and
+//! the scaling conversions with Table 5.
 
 use std::fmt::Write as _;
 
+use stacksim_floorplan::p4::pentium4_147w;
+use stacksim_floorplan::wire::fig9_paths;
 use stacksim_floorplan::PowerGrid;
 use stacksim_thermal::TemperatureField;
 
 use super::artifact::Artifact;
+use crate::logic_logic::folded_p4;
 use crate::memory_logic::Fig5Data;
 use crate::report::{fmt_f, TextTable};
 use crate::stacking::StackOption;
@@ -62,8 +68,15 @@ pub fn render(artifact: &Artifact) -> String {
                     format!("{:+.2}", p.peak_c - base),
                 ]);
             }
-            let mut out = t.render();
+            let mut out = stack_options();
+            out.push('\n');
+            out.push_str(&t.render());
             if let Some(p32) = points.get(2) {
+                let _ = writeln!(
+                    out,
+                    "peak temp delta @32MB: {:+.2} C (paper: +0.08 C)",
+                    p32.peak_c - base
+                );
                 out.push_str("\n3D 32MB CPU-die thermal map (Fig. 8b), '@' = hottest:\n");
                 out.push_str(&thermal_map(&p32.field, "active 1"));
             }
@@ -84,7 +97,17 @@ pub fn render(artifact: &Artifact) -> String {
                     fmt_f(p.paper_c, 2),
                 ]);
             }
-            t.render()
+            let mut out = floorplans();
+            out.push('\n');
+            out.push_str(&t.render());
+            if let [planar, stacked, ..] = points.as_slice() {
+                let _ = write!(
+                    out,
+                    "peak temp increase 3D vs 2D: {:+.2} C (paper: +14 C, at 1.3x power density)",
+                    stacked.peak_c - planar.peak_c
+                );
+            }
+            out
         }
         Artifact::Table4(t4) => {
             let mut t =
@@ -119,7 +142,21 @@ pub fn render(artifact: &Artifact) -> String {
                     fmt_f(r.freq, 2),
                 ]);
             }
-            t.render()
+            let mut out = t.render();
+            if let Some(st) = rows.iter().find(|r| r.label == "Same Temp") {
+                let _ = writeln!(
+                    out,
+                    "thermal-neutral scale: {:+.0}% power, {:+.0}% perf \
+                     (paper: -34% power, +8% perf)",
+                    st.power_pct - 100.0,
+                    st.perf_pct - 100.0
+                );
+            }
+            out.push_str(
+                "conversions: 0.82% performance per 1% frequency; \
+                 1% frequency per 1% Vcc; P = V^2 f",
+            );
+            out
         }
         Artifact::Headline(h) => {
             let mut out = String::new();
@@ -154,6 +191,65 @@ pub fn render(artifact: &Artifact) -> String {
             t.render()
         }
     }
+}
+
+/// The Fig. 7 table: every stacking option's LLC and power budget.
+fn stack_options() -> String {
+    let mut t = TextTable::new(["option", "LLC", "CPU die W", "stacked die W", "total W"]);
+    for o in StackOption::all() {
+        t.row([
+            o.label().to_string(),
+            format!("{} MB", o.capacity_mb()),
+            fmt_f(o.cpu_floorplan().total_power(), 1),
+            fmt_f(o.stacked_die_power(), 1),
+            fmt_f(o.total_power(), 1),
+        ]);
+    }
+    t.render()
+}
+
+/// The Fig. 9/10 summary: the planar P4-class floorplan, its two wire
+/// routes planar versus stacked, and the folded two-die footprint.
+fn floorplans() -> String {
+    let planar = pentium4_147w();
+    let mut out = format!(
+        "Fig. 9 planar: {:.0} x {:.0} mm, {:.0} W, {} blocks (hottest: scheduler)\n",
+        planar.width(),
+        planar.height(),
+        planar.total_power(),
+        planar.blocks().len()
+    );
+    for path in fig9_paths(&planar) {
+        let _ = writeln!(
+            out,
+            "  wire route {:<28}: {:.1} mm planar -> {:.1} mm stacked ({:.0}%)",
+            path.name,
+            path.planar_mm,
+            path.stacked_mm,
+            100.0 * path.ratio()
+        );
+    }
+    match folded_p4() {
+        Ok(folded) => {
+            let d0 = &folded.dies()[0];
+            let _ = writeln!(
+                out,
+                "Fig. 10 3D: two dies of {:.1} x {:.1} mm ({:.0}% footprint), {:.1} W total \
+                 ({} + {} blocks), peak stacked density {:.2}x planar",
+                d0.width(),
+                d0.height(),
+                100.0 * d0.area() / planar.area(),
+                folded.total_power(),
+                folded.dies()[0].blocks().len(),
+                folded.dies()[1].blocks().len(),
+                folded.peak_stacked_density(48, 40) / planar.power_grid(48, 40).peak_density(),
+            );
+        }
+        Err(e) => {
+            let _ = writeln!(out, "Fig. 10 3D: fold failed: {e}");
+        }
+    }
+    out
 }
 
 /// The full Fig. 5 rendering: CPMA table, bandwidth table and headline.
@@ -246,4 +342,73 @@ pub fn thermal_map(field: &TemperatureField, layer_name: &str) -> String {
         min,
         field.ascii_map(idx)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::logic_logic::{Fig11Point, Table5Row};
+
+    #[test]
+    fn fig8_carries_the_fig7_option_table() {
+        let out = render(&Artifact::Fig8(Vec::new()));
+        for o in StackOption::all() {
+            let total = fmt_f(o.total_power(), 1);
+            assert!(
+                out.lines()
+                    .any(|l| l.starts_with(o.label()) && l.trim_end().ends_with(&total)),
+                "no Fig. 7 row for {} at {total} W:\n{out}",
+                o.label()
+            );
+        }
+    }
+
+    #[test]
+    fn fig11_carries_the_fig9_routes_fold_footprint_and_peak_delta() {
+        let bar = |label, peak_c| Fig11Point {
+            label,
+            peak_c,
+            power_w: 100.0,
+            paper_c: 0.0,
+        };
+        let out = render(&Artifact::Fig11(vec![
+            bar("2D Baseline", 97.5),
+            bar("3D", 112.75),
+        ]));
+        let routes = fig9_paths(&pentium4_147w());
+        assert_eq!(routes.len(), 2);
+        for route in routes {
+            assert!(
+                out.contains(&format!("wire route {:<28}", route.name)),
+                "{out}"
+            );
+        }
+        assert!(out.contains("Fig. 10 3D: two dies of"), "{out}");
+        assert!(out.contains("% footprint"), "{out}");
+        assert!(
+            out.contains("peak temp increase 3D vs 2D: +15.25 C"),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn table5_carries_the_conversions_footer() {
+        let same_temp = Table5Row {
+            label: "Same Temp",
+            power_w: 98.9,
+            power_pct: 67.0,
+            temp_c: 97.6,
+            perf_pct: 109.0,
+            vcc: 0.92,
+            freq: 0.92,
+        };
+        let out = render(&Artifact::Table5(vec![same_temp]));
+        assert!(
+            out.contains("thermal-neutral scale: -33% power, +9% perf"),
+            "{out}"
+        );
+        assert!(out.ends_with(
+            "conversions: 0.82% performance per 1% frequency; 1% frequency per 1% Vcc; P = V^2 f"
+        ));
+    }
 }

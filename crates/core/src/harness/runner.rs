@@ -738,7 +738,9 @@ impl Runner {
 }
 
 /// Runs a single experiment (plus dependencies) with a disabled cache —
-/// the convenience path the per-figure binaries use.
+/// the one-call library path for embedders and tests that want one
+/// artifact without a [`Sim`](super::Sim) session (`stacksim run` goes
+/// through the session).
 ///
 /// # Errors
 ///

@@ -1,4 +1,5 @@
-//! Plain-text table rendering for the `fig*`/`table*` regenerator binaries.
+//! Plain-text table rendering for the artifact renderer
+//! (`harness::render`) and the CLI's summary tables.
 
 use std::fmt::Write as _;
 

@@ -1,26 +1,26 @@
-//! The experiment-harness CLI: list, run and cache every table and figure
-//! of the paper.
+//! `stacksim`, the one command-line front end: list, run, explore, serve,
+//! check, bench, stats and clean. Every table and figure of the paper is
+//! one registry experiment, so `stacksim run <name> --show` reproduces it
+//! (`run headline fig8 fig11 table4 table5 --show` prints the abstract's
+//! numbers with their figures).
 //!
 //! ```text
 //! stacksim list
-//! stacksim run --all [--jobs N] [--serial] [--no-cache] [--cache-dir D]
-//!              [--test-scale] [--report FILE] [--show]
-//!              [--metrics-out FILE] [--events FILE]
-//!              [--fault-plan FILE] [--keep-going] [--failures FILE]
-//!              [--retries N] [--deadline S]
-//! stacksim run fig5 table4 ...
-//! stacksim explore [--mode grid|random|evolve] [--budget N] [--seed N]
-//!                  [--spec FILE] [--out FILE] [--report] [--jobs N]
-//!                  [--test-scale] [--no-cache] [--cache-dir D]
-//!                  [--cache-max-bytes B] [--cache-shards N]
-//!                  [--metrics-out FILE] [--events FILE]
-//! stacksim check --all [--format json] [--test-scale]
-//! stacksim check fig8 table4 ...
-//! stacksim bench [--quick] [--threads N] [--out-dir D]
-//!                [--metrics-out FILE] [--events FILE]
-//! stacksim stats [FILE] [--events FILE] [--failures FILE] [--format json]
+//! stacksim run [NAMES | --all] [options]
+//! stacksim explore [options]
+//! stacksim serve [options]
+//! stacksim check [NAMES | --all] [options]
+//! stacksim bench [options]
+//! stacksim stats [FILE] [options]
 //! stacksim clean [--cache-dir D]
 //! ```
+//!
+//! Every flag is one entry of the flag table ([`FLAGS`]): its name, the
+//! commands that accept it, whether it takes a value, its parse and
+//! validation, and its help line. One parser and one usage generator
+//! (`stacksim` with no arguments) read it. Every command opens the memo
+//! cache through [`open_cache`], so they all share one sharded layout
+//! under `--cache-dir`.
 //!
 //! `run` executes the selection (plus transitive dependencies) in
 //! parallel, memoizes artifacts under the cache directory, and prints a
@@ -44,163 +44,566 @@
 //! caps transient retries per experiment, `--deadline` bounds each
 //! experiment's recovery time in seconds.
 
-use std::path::PathBuf;
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
+use std::time::Duration;
 
+use stacksim::bench::perf::BenchOptions;
 use stacksim::core::harness::{
     check, default_cache_dir, obs_report, render, resilience, ExperimentRequest, FailureReport,
-    MemoCache, Registry, RunOutcome, RunReport, Sim,
+    MemoCache, Registry, Resilience, RunOutcome, RunReport, Sim,
 };
 use stacksim::core::{fmt_f, TextTable};
+use stacksim::explore::SearchMode;
+use stacksim::faults::FaultPlan;
+use stacksim::serve::ServeOptions;
 use stacksim::workloads::WorkloadParams;
+use Takes::{Switch, Value};
 
+/// Shard subdirectories of the memo cache. One constant for every
+/// command, so whatever `serve` or `explore` stored, `run` hits and
+/// `clean` removes.
+const CACHE_SHARDS: usize = 16;
+
+/// Every value a flag can set, for every command; `None` is a flag not
+/// given. Each command reads the fields its own flags fill.
+#[derive(Default)]
+struct Opts {
+    /// `run`/`check` operands: experiment names.
+    names: Vec<String>,
+    /// `stats` operand: the snapshot to read.
+    file: Option<PathBuf>,
+    all: bool,
+    jobs: usize,
+    solver_threads: Option<usize>,
+    no_cache: bool,
+    cache_dir: Option<PathBuf>,
+    cache_max_bytes: Option<u64>,
+    test_scale: bool,
+    metrics_out: Option<PathBuf>,
+    events_out: Option<PathBuf>,
+    fault_plan: Option<PathBuf>,
+    json: bool,
+    // run
+    run_report: Option<PathBuf>,
+    show: bool,
+    keep_going: bool,
+    failures_out: Option<PathBuf>,
+    retries: Option<usize>,
+    deadline_s: Option<f64>,
+    // explore
+    mode: Option<SearchMode>,
+    budget: usize,
+    seed: u64,
+    spec: Option<PathBuf>,
+    out: Option<PathBuf>,
+    explore_report: bool,
+    // serve
+    serve: ServeOptions,
+    journal: Option<PathBuf>,
+    no_journal: bool,
+    // bench
+    bench: BenchOptions,
+    // stats
+    events_in: Option<PathBuf>,
+    failures_in: Option<PathBuf>,
+}
+
+/// How a flag reads the command line.
+enum Takes {
+    /// A switch: present or not.
+    Switch(fn(&mut Opts)),
+    /// A value: the usage placeholder, then the parse + validation that
+    /// stores the next argument (`None` rejects it as a usage error).
+    Value(&'static str, fn(&mut Opts, &str) -> Option<()>),
+}
+
+/// One entry of the flag table.
+struct Flag {
+    name: &'static str,
+    commands: &'static [&'static str],
+    takes: Takes,
+    help: &'static str,
+}
+
+/// Stores a parsed flag value.
+fn put<S: From<T>, T>(slot: &mut S, value: T) -> Option<()> {
+    *slot = value.into();
+    Some(())
+}
+
+/// Parses a number no smaller than `min`.
+fn num<T: FromStr + PartialOrd>(v: &str, min: T) -> Option<T> {
+    v.parse().ok().filter(|n| *n >= min)
+}
+
+/// The flag table: every flag of every command, each parsed and
+/// validated in one place, with the commands that accept it. A name two
+/// commands share is one entry when it means the same in both; `run
+/// --report FILE` versus the boolean `explore --report`, and the `stats`
+/// flags that read what `run` writes, are separate entries.
+static FLAGS: &[Flag] = &[
+    Flag {
+        name: "--all",
+        commands: &["run", "check"],
+        takes: Switch(|o| o.all = true),
+        help: "every registered experiment (check adds the digest audit)",
+    },
+    Flag {
+        name: "--jobs",
+        commands: &["run", "explore", "serve"],
+        takes: Value("N", |o, v| put(&mut o.jobs, num(v, 0usize)?)),
+        help: "worker threads per experiment batch (default: all CPUs)",
+    },
+    Flag {
+        name: "--no-cache",
+        commands: &["run", "explore", "serve"],
+        takes: Switch(|o| o.no_cache = true),
+        help: "neither read nor write the memo cache",
+    },
+    Flag {
+        name: "--cache-dir",
+        commands: &["run", "explore", "serve", "clean"],
+        takes: Value("D", |o, v| put(&mut o.cache_dir, PathBuf::from(v))),
+        help: "cache directory (default: target/stacksim-cache)",
+    },
+    Flag {
+        name: "--cache-max-bytes",
+        commands: &["explore", "serve"],
+        takes: Value("B", |o, v| put(&mut o.cache_max_bytes, num(v, 1u64)?)),
+        help: "bound the cache; oldest-LRU entries evicted",
+    },
+    Flag {
+        name: "--test-scale",
+        commands: &["run", "explore", "serve", "check"],
+        takes: Switch(|o| o.test_scale = true),
+        help: "small traces for a fast smoke run",
+    },
+    Flag {
+        name: "--metrics-out",
+        commands: &["run", "explore", "bench"],
+        takes: Value("FILE", |o, v| put(&mut o.metrics_out, PathBuf::from(v))),
+        help: "write a stacksim-obs/1 metrics snapshot to FILE",
+    },
+    Flag {
+        name: "--events",
+        commands: &["run", "explore", "bench"],
+        takes: Value("FILE", |o, v| put(&mut o.events_out, PathBuf::from(v))),
+        help: "append span/point events to FILE (JSONL)",
+    },
+    Flag {
+        name: "--fault-plan",
+        commands: &["run", "serve"],
+        takes: Value("FILE", |o, v| put(&mut o.fault_plan, PathBuf::from(v))),
+        help: "a stacksim-faults/1 injection plan, armed for the run;\n\
+              serve requests opt in with \"faults\": true, and its\n\
+              serve.*/session.* rules arm for the daemon's lifetime",
+    },
+    Flag {
+        name: "--format",
+        commands: &["check", "stats"],
+        takes: Value("FMT", |o, v| {
+            put(
+                &mut o.json,
+                match v {
+                    "pretty" => false,
+                    "json" => true,
+                    _ => return None,
+                },
+            )
+        }),
+        help: "output format: pretty (default) or json",
+    },
+    Flag {
+        name: "--serial",
+        commands: &["run"],
+        takes: Switch(|o| o.jobs = 1),
+        help: "one worker thread (same results, bit-identical)",
+    },
+    Flag {
+        name: "--solver-threads",
+        commands: &["run"],
+        takes: Value("N", |o, v| put(&mut o.solver_threads, num(v, 0usize)?)),
+        help: "CG solver threads per experiment (default: 1;\n\
+              results are bit-identical for any value)",
+    },
+    Flag {
+        name: "--report",
+        commands: &["run"],
+        takes: Value("FILE", |o, v| put(&mut o.run_report, PathBuf::from(v))),
+        help: "write the JSON run report to FILE",
+    },
+    Flag {
+        name: "--show",
+        commands: &["run"],
+        takes: Switch(|o| o.show = true),
+        help: "print each artifact's rendered table",
+    },
+    Flag {
+        name: "--keep-going",
+        commands: &["run"],
+        takes: Switch(|o| o.keep_going = true),
+        help: "complete unpoisoned experiments, write the failure\n\
+              report, exit non-zero iff anything failed",
+    },
+    Flag {
+        name: "--failures",
+        commands: &["run"],
+        takes: Value("FILE", |o, v| put(&mut o.failures_out, PathBuf::from(v))),
+        help: "where --keep-going writes the stacksim-failures/1\n\
+              report (default: target/stacksim-failures.json)",
+    },
+    Flag {
+        name: "--retries",
+        commands: &["run"],
+        takes: Value("N", |o, v| put(&mut o.retries, num(v, 0usize)?)),
+        help: "transient-failure retries per experiment (default: 2)",
+    },
+    Flag {
+        name: "--deadline",
+        commands: &["run"],
+        takes: Value("S", |o, v| {
+            put(
+                &mut o.deadline_s,
+                v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)?,
+            )
+        }),
+        help: "per-experiment recovery deadline in seconds",
+    },
+    Flag {
+        name: "--mode",
+        commands: &["explore"],
+        takes: Value("M", |o, v| put(&mut o.mode, SearchMode::parse(v)?)),
+        help: "search mode: grid (default), random or evolve",
+    },
+    Flag {
+        name: "--budget",
+        commands: &["explore"],
+        takes: Value("N", |o, v| put(&mut o.budget, num(v, 0usize)?)),
+        help: "max design points to evaluate (default: the whole space)",
+    },
+    Flag {
+        name: "--seed",
+        commands: &["explore"],
+        takes: Value("N", |o, v| put(&mut o.seed, num(v, 0u64)?)),
+        help: "search seed; same seed + space = bit-identical frontier",
+    },
+    Flag {
+        name: "--spec",
+        commands: &["explore"],
+        takes: Value("FILE", |o, v| put(&mut o.spec, PathBuf::from(v))),
+        help: "JSON space spec (default: the built-in 576-point space)",
+    },
+    Flag {
+        name: "--out",
+        commands: &["explore"],
+        takes: Value("FILE", |o, v| put(&mut o.out, PathBuf::from(v))),
+        help: "write the stacksim-explore/1 artifact to FILE",
+    },
+    Flag {
+        name: "--report",
+        commands: &["explore"],
+        takes: Switch(|o| o.explore_report = true),
+        help: "print the rendered frontier + sensitivity tables",
+    },
+    Flag {
+        name: "--addr",
+        commands: &["serve"],
+        takes: Value("A", |o, v| put(&mut o.serve.addr, v)),
+        help: "listen address (default: 127.0.0.1:7878; port 0 = any)",
+    },
+    Flag {
+        name: "--pool",
+        commands: &["serve"],
+        takes: Value("N", |o, v| put(&mut o.serve.pool, num(v, 1usize)?)),
+        help: "connection worker threads (default: 4)",
+    },
+    Flag {
+        name: "--max-pending",
+        commands: &["serve"],
+        takes: Value("N", |o, v| put(&mut o.serve.max_pending, num(v, 0usize)?)),
+        help: "shed submissions past N queued+running (503 +\n\
+              Retry-After; default: 0 = unbounded)",
+    },
+    Flag {
+        name: "--max-conns",
+        commands: &["serve"],
+        takes: Value("N", |o, v| put(&mut o.serve.max_conns, num(v, 0usize)?)),
+        help: "reject connections past N concurrent (429;\n\
+              default: 0 = unbounded)",
+    },
+    Flag {
+        name: "--io-timeout",
+        commands: &["serve"],
+        takes: Value("S", |o, v| {
+            put(&mut o.serve.io_timeout, Duration::from_secs(num(v, 1)?))
+        }),
+        help: "per-socket read/write timeout and whole-request\n\
+              read deadline, seconds (default: 10)",
+    },
+    Flag {
+        name: "--journal",
+        commands: &["serve"],
+        takes: Value("FILE", |o, v| put(&mut o.journal, PathBuf::from(v))),
+        help: "append-only crash-recovery journal (default:\n\
+              <cache-dir>/journal/requests.jsonl when the\n\
+              cache is enabled)",
+    },
+    Flag {
+        name: "--no-journal",
+        commands: &["serve"],
+        takes: Switch(|o| o.no_journal = true),
+        help: "disable the journal",
+    },
+    Flag {
+        name: "--quick",
+        commands: &["bench"],
+        takes: Switch(|o| o.bench.quick = true),
+        help: "one timed sample per benchmark (CI smoke)",
+    },
+    Flag {
+        name: "--threads",
+        commands: &["bench"],
+        takes: Value("N", |o, v| put(&mut o.bench.threads, num(v, 1usize)?)),
+        help: "solver threads for the fast thermal leg (default: 4)",
+    },
+    Flag {
+        name: "--out-dir",
+        commands: &["bench"],
+        takes: Value("D", |o, v| put(&mut o.bench.out_dir, v)),
+        help: "where BENCH_*.json land (default: .)",
+    },
+    Flag {
+        name: "--events",
+        commands: &["stats"],
+        takes: Value("FILE", |o, v| put(&mut o.events_in, PathBuf::from(v))),
+        help: "also validate a JSONL event log",
+    },
+    Flag {
+        name: "--failures",
+        commands: &["stats"],
+        takes: Value("FILE", |o, v| put(&mut o.failures_in, PathBuf::from(v))),
+        help: "also validate a stacksim-failures/1 report",
+    },
+];
+
+/// What a command takes besides flags.
+#[derive(PartialEq)]
+enum Operands {
+    None,
+    /// Experiment names, or `--all` instead (exactly one of the two).
+    Names,
+    /// At most one file.
+    File,
+}
+
+/// One subcommand: its name, operands, usage line and entry point.
+struct Command {
+    name: &'static str,
+    operands: Operands,
+    about: &'static str,
+    run: fn(Opts) -> Result<ExitCode, String>,
+}
+
+impl Command {
+    /// The entries of [`FLAGS`] this command accepts.
+    fn flags(&self) -> impl Iterator<Item = &'static Flag> + '_ {
+        FLAGS.iter().filter(|f| f.commands.contains(&self.name))
+    }
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "list",
+        operands: Operands::None,
+        about: "list registered experiments and dependencies",
+        run: list,
+    },
+    Command {
+        name: "run",
+        operands: Operands::Names,
+        about: "run experiments (deps included automatically)",
+        run,
+    },
+    Command {
+        name: "explore",
+        operands: Operands::None,
+        about: "Pareto design-space search over the session API",
+        run: explore,
+    },
+    Command {
+        name: "serve",
+        operands: Operands::None,
+        about: "long-running HTTP/JSON experiment service",
+        run: serve,
+    },
+    Command {
+        name: "check",
+        operands: Operands::Names,
+        about: "statically validate experiment models",
+        run: check,
+    },
+    Command {
+        name: "bench",
+        operands: Operands::None,
+        about: "time solver + memory suites, write BENCH_*.json",
+        run: bench,
+    },
+    Command {
+        name: "stats",
+        operands: Operands::File,
+        about: "validate + render an observability snapshot\n\
+                (default FILE: target/stacksim-obs/last.json)",
+        run: stats,
+    },
+    Command {
+        name: "clean",
+        operands: Operands::None,
+        about: "delete the memo cache",
+        run: clean,
+    },
+];
+
+/// Parses a command's arguments against the flags it accepts; `None` is
+/// a usage error.
+fn parse(cmd: &Command, args: &[String]) -> Option<Opts> {
+    let mut o = Opts::default();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match cmd.flags().find(|f| f.name == arg).map(|f| &f.takes) {
+            Some(Switch(set)) => set(&mut o),
+            Some(Value(_, set)) => set(&mut o, it.next()?)?,
+            None if arg.starts_with('-') => return None,
+            None => match cmd.operands {
+                Operands::Names => o.names.push(arg.clone()),
+                Operands::File if o.file.is_none() => o.file = Some(PathBuf::from(arg)),
+                _ => return None,
+            },
+        }
+    }
+    // either --all or explicit names, never both or neither
+    if cmd.operands == Operands::Names && o.all != o.names.is_empty() {
+        return None;
+    }
+    Some(o)
+}
+
+/// Prints the usage text generated from the command and flag tables.
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: stacksim <command> [options]\n\
-         \n\
-         commands:\n\
-         \x20 list                      list registered experiments and dependencies\n\
-         \x20 run [NAMES | --all]       run experiments (deps included automatically)\n\
-         \x20 explore                   Pareto design-space search over the session API\n\
-         \x20 serve                     long-running HTTP/JSON experiment service\n\
-         \x20 check [NAMES | --all]     statically validate experiment models\n\
-         \x20 bench                     time solver + memory suites, write BENCH_*.json\n\
-         \x20 stats [FILE]              validate + render an observability snapshot\n\
-         \x20 clean                     delete the memo cache\n\
-         \n\
-         run options:\n\
-         \x20 --all              run every registered experiment\n\
-         \x20 --jobs N           worker threads (default: all CPUs)\n\
-         \x20 --serial           one worker thread (same results, bit-identical)\n\
-         \x20 --solver-threads N CG solver threads per experiment (default: 1;\n\
-         \x20                    results are bit-identical for any value)\n\
-         \x20 --no-cache         neither read nor write the memo cache\n\
-         \x20 --cache-dir D      cache directory (default: target/stacksim-cache)\n\
-         \x20 --test-scale       small traces for a fast smoke run\n\
-         \x20 --report FILE      write the JSON run report to FILE\n\
-         \x20 --show             print each artifact's rendered table\n\
-         \x20 --metrics-out FILE write a stacksim-obs/1 metrics snapshot to FILE\n\
-         \x20 --events FILE      append span/point events to FILE (JSONL)\n\
-         \x20 --fault-plan FILE  arm a stacksim-faults/1 injection plan for this run\n\
-         \x20 --keep-going       complete unpoisoned experiments, write the failure\n\
-         \x20                    report, exit non-zero iff anything failed\n\
-         \x20 --failures FILE    where --keep-going writes the stacksim-failures/1\n\
-         \x20                    report (default: target/stacksim-failures.json)\n\
-         \x20 --retries N        transient-failure retries per experiment (default: 2)\n\
-         \x20 --deadline S       per-experiment recovery deadline in seconds\n\
-         \n\
-         explore options:\n\
-         \x20 --mode M           search mode: grid (default), random or evolve\n\
-         \x20 --budget N         max design points to evaluate (default: the whole space)\n\
-         \x20 --seed N           search seed; same seed + space = bit-identical frontier\n\
-         \x20 --spec FILE        JSON space spec (default: the built-in 576-point space)\n\
-         \x20 --out FILE         write the stacksim-explore/1 artifact to FILE\n\
-         \x20 --report           print the rendered frontier + sensitivity tables\n\
-         \x20 --jobs / --test-scale / --no-cache / --cache-dir / --cache-max-bytes /\n\
-         \x20 --cache-shards / --metrics-out / --events  as for run and serve\n\
-         \n\
-         serve options:\n\
-         \x20 --addr A           listen address (default: 127.0.0.1:7878; port 0 = any)\n\
-         \x20 --pool N           connection worker threads (default: 4)\n\
-         \x20 --jobs N           worker threads per experiment batch (default: all CPUs)\n\
-         \x20 --no-cache         neither read nor write the memo cache\n\
-         \x20 --cache-dir D      cache directory (default: target/stacksim-cache)\n\
-         \x20 --cache-max-bytes B  bound the cache; oldest-LRU entries evicted\n\
-         \x20 --cache-shards N   spread cache entries over N subdirectories\n\
-         \x20 --test-scale       small traces (smoke/CI serving)\n\
-         \x20 --fault-plan FILE  plan requests may opt into with \"faults\": true;\n\
-         \x20                    serve.*/session.* rules arm ambiently for the\n\
-         \x20                    daemon's lifetime (network chaos)\n\
-         \x20 --max-pending N    shed submissions past N queued+running (503 +\n\
-         \x20                    Retry-After; default: 0 = unbounded)\n\
-         \x20 --max-conns N      reject connections past N concurrent (429;\n\
-         \x20                    default: 0 = unbounded)\n\
-         \x20 --io-timeout S     per-socket read/write timeout and whole-request\n\
-         \x20                    read deadline, seconds (default: 10)\n\
-         \x20 --journal FILE     append-only crash-recovery journal (default:\n\
-         \x20                    <cache-dir>/journal/requests.jsonl when the\n\
-         \x20                    cache is enabled)\n\
-         \x20 --no-journal       disable the journal\n\
-         \n\
-         check options:\n\
-         \x20 --all            check every registered experiment + the digest audit\n\
-         \x20 --format FMT     output format: pretty (default) or json\n\
-         \x20 --test-scale     validate the test-scale parameter set\n\
-         \n\
-         bench options:\n\
-         \x20 --quick          one timed sample per benchmark (CI smoke)\n\
-         \x20 --threads N      solver threads for the fast thermal leg (default: 4)\n\
-         \x20 --out-dir D      where BENCH_*.json land (default: .)\n\
-         \x20 --metrics-out FILE / --events FILE  as for run\n\
-         \n\
-         stats options:\n\
-         \x20 FILE             snapshot to read (default: target/stacksim-obs/last.json)\n\
-         \x20 --events FILE    also validate a JSONL event log\n\
-         \x20 --failures FILE  also validate a stacksim-failures/1 report\n\
-         \x20 --format FMT     output format: pretty (default) or json"
-    );
+    let mut text = String::from("usage: stacksim <command> [options]\n\ncommands:\n");
+    let row = |text: &mut String, width: usize, head: &str, help: &str| {
+        for (i, line) in help.lines().enumerate() {
+            let head = if i == 0 { head } else { "" };
+            let _ = writeln!(text, "  {head:<width$} {line}");
+        }
+    };
+    for cmd in COMMANDS {
+        let head = match cmd.operands {
+            Operands::None => cmd.name.to_string(),
+            Operands::Names => format!("{} [NAMES | --all]", cmd.name),
+            Operands::File => format!("{} [FILE]", cmd.name),
+        };
+        row(&mut text, 25, &head, cmd.about);
+    }
+    for cmd in COMMANDS.iter().filter(|c| c.flags().next().is_some()) {
+        let _ = write!(text, "\n{} options:\n", cmd.name);
+        for flag in cmd.flags() {
+            let head = match flag.takes {
+                Switch(_) => flag.name.to_string(),
+                Value(placeholder, _) => format!("{} {placeholder}", flag.name),
+            };
+            row(&mut text, 20, &head, flag.help);
+        }
+    }
+    eprint!("{text}");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else {
+    let Some((name, rest)) = args.split_first() else {
         return usage();
     };
-    match command.as_str() {
-        "list" => list(),
-        "run" => run(&args[1..]),
-        "explore" => explore(&args[1..]),
-        "serve" => serve(&args[1..]),
-        "check" => check(&args[1..]),
-        "bench" => bench(&args[1..]),
-        "stats" => stats(&args[1..]),
-        "clean" => clean(&args[1..]),
-        _ => usage(),
+    let Some(cmd) = COMMANDS.iter().find(|c| c.name == name) else {
+        return usage();
+    };
+    let Some(opts) = parse(cmd, rest) else {
+        return usage();
+    };
+    (cmd.run)(opts).unwrap_or_else(|e| {
+        eprintln!("stacksim: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// The workload scale `--test-scale` selects.
+fn scale(o: &Opts) -> WorkloadParams {
+    if o.test_scale {
+        WorkloadParams::test()
+    } else {
+        WorkloadParams::paper()
     }
 }
 
-/// Observability session bracketing a `run` or `bench` invocation:
-/// enable + install the event sink up front, then flush, snapshot and
-/// disable on drop (so every exit path of the command reports).
-struct ObsSession {
-    metrics_out: Option<PathBuf>,
+/// The `--cache-dir` root, defaulting to `target/stacksim-cache`.
+fn cache_root(o: &Opts) -> PathBuf {
+    o.cache_dir.clone().unwrap_or_else(default_cache_dir)
 }
 
-impl ObsSession {
-    /// Start observability if either output flag was given.
-    fn start(
-        metrics_out: Option<&PathBuf>,
-        events: Option<&PathBuf>,
-    ) -> Result<Option<Self>, String> {
-        if metrics_out.is_none() && events.is_none() {
-            return Ok(None);
-        }
-        stacksim::obs::reset();
-        stacksim::obs::enable();
-        if let Some(path) = events {
-            let sink = stacksim::obs::JsonlSink::create(path)
-                .map_err(|e| format!("cannot create event log {}: {e}", path.display()))?;
-            stacksim::obs::set_sink(Some(std::sync::Arc::new(sink)));
-        }
-        Ok(Some(ObsSession {
-            metrics_out: metrics_out.cloned(),
-        }))
+/// Opens the memo cache — every command's one way in, so every command
+/// sees the same sharded layout.
+fn open_cache(o: &Opts) -> MemoCache {
+    if o.no_cache {
+        MemoCache::disabled()
+    } else {
+        MemoCache::builder()
+            .dir(cache_root(o))
+            .max_bytes(o.cache_max_bytes)
+            .shards(CACHE_SHARDS)
+            .build()
     }
+}
 
-    /// Flush the event sink, write snapshots, disable observability.
-    fn finish(self) -> Result<(), String> {
-        stacksim::obs::set_sink(None);
-        let mut targets = vec![obs_report::default_snapshot_path()];
-        if let Some(path) = &self.metrics_out {
-            targets.push(path.clone());
-        }
-        let result = targets
-            .iter()
-            .try_for_each(|path| obs_report::write_snapshot(path).map_err(|e| e.to_string()));
-        stacksim::obs::disable();
-        result
+/// Reads a text file; `what` prefixes the path in the error.
+fn read_file(what: &str, path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {what}{}: {e}", path.display()))
+}
+
+/// Reads and parses a `stacksim-faults/1` plan.
+fn read_fault_plan(path: &Path) -> Result<FaultPlan, String> {
+    resilience::parse_fault_plan(&read_file("fault plan ", path)?)
+        .map_err(|e| format!("invalid fault plan {}: {e}", path.display()))
+}
+
+/// Turns observability on for a command if `--metrics-out` or
+/// `--events` was given (returning whether it did): enable, and install
+/// the event sink. [`obs_finish`] brackets the other end.
+fn obs_start(o: &Opts) -> Result<bool, String> {
+    if o.metrics_out.is_none() && o.events_out.is_none() {
+        return Ok(false);
     }
+    stacksim::obs::reset();
+    stacksim::obs::enable();
+    if let Some(path) = &o.events_out {
+        let sink = stacksim::obs::JsonlSink::create(path)
+            .map_err(|e| format!("cannot create event log {}: {e}", path.display()))?;
+        stacksim::obs::set_sink(Some(std::sync::Arc::new(sink)));
+    }
+    Ok(true)
+}
+
+/// Flushes the event sink, writes the snapshots, disables observability.
+fn obs_finish(o: &Opts) -> Result<(), String> {
+    stacksim::obs::set_sink(None);
+    let mut targets = vec![obs_report::default_snapshot_path()];
+    targets.extend(o.metrics_out.clone());
+    let result = targets
+        .iter()
+        .try_for_each(|path| obs_report::write_snapshot(path).map_err(|e| e.to_string()));
+    stacksim::obs::disable();
+    result
 }
 
 /// Fault-plane session bracketing a `run` invocation: arm the plan up
@@ -210,15 +613,11 @@ struct FaultSession;
 
 impl FaultSession {
     /// Arms the plan at `path`, if one was given.
-    fn start(path: Option<&PathBuf>) -> Result<Option<Self>, String> {
+    fn start(path: Option<&Path>) -> Result<Option<Self>, String> {
         let Some(path) = path else {
             return Ok(None);
         };
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read fault plan {}: {e}", path.display()))?;
-        let plan = resilience::parse_fault_plan(&text)
-            .map_err(|e| format!("invalid fault plan {}: {e}", path.display()))?;
-        stacksim::faults::arm(plan);
+        stacksim::faults::arm(read_fault_plan(path)?);
         Ok(Some(FaultSession))
     }
 }
@@ -229,7 +628,7 @@ impl Drop for FaultSession {
     }
 }
 
-fn list() -> ExitCode {
+fn list(_: Opts) -> Result<ExitCode, String> {
     let registry = Registry::standard();
     let mut t = TextTable::new(["experiment", "depends on"]);
     for exp in registry.experiments() {
@@ -244,192 +643,74 @@ fn list() -> ExitCode {
         ]);
     }
     println!("{}", t.render());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-struct RunArgs {
-    names: Vec<String>,
-    all: bool,
-    jobs: usize,
-    solver_threads: usize,
-    no_cache: bool,
-    cache_dir: PathBuf,
-    test_scale: bool,
-    report: Option<PathBuf>,
-    show: bool,
-    metrics_out: Option<PathBuf>,
-    events: Option<PathBuf>,
-    fault_plan: Option<PathBuf>,
-    keep_going: bool,
-    failures: PathBuf,
-    retries: Option<usize>,
-    deadline_s: Option<f64>,
-}
-
-fn parse_run_args(args: &[String]) -> Option<RunArgs> {
-    let mut out = RunArgs {
-        names: Vec::new(),
-        all: false,
-        jobs: 0,
-        solver_threads: 1,
-        no_cache: false,
-        cache_dir: default_cache_dir(),
-        test_scale: false,
-        report: None,
-        show: false,
-        metrics_out: None,
-        events: None,
-        fault_plan: None,
-        keep_going: false,
-        failures: PathBuf::from("target").join("stacksim-failures.json"),
-        retries: None,
-        deadline_s: None,
+fn run(o: Opts) -> Result<ExitCode, String> {
+    let mut params = scale(&o);
+    params.solver_threads = o.solver_threads.unwrap_or(1);
+    params.validate().map_err(|e| e.to_string())?;
+    let mut resilience = Resilience {
+        deadline_s: o.deadline_s,
+        ..Resilience::default()
     };
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--all" => out.all = true,
-            "--serial" => out.jobs = 1,
-            "--no-cache" => out.no_cache = true,
-            "--test-scale" => out.test_scale = true,
-            "--show" => out.show = true,
-            "--keep-going" => out.keep_going = true,
-            "--jobs" => out.jobs = it.next()?.parse().ok()?,
-            "--solver-threads" => out.solver_threads = it.next()?.parse().ok()?,
-            "--cache-dir" => out.cache_dir = PathBuf::from(it.next()?),
-            "--report" => out.report = Some(PathBuf::from(it.next()?)),
-            "--metrics-out" => out.metrics_out = Some(PathBuf::from(it.next()?)),
-            "--events" => out.events = Some(PathBuf::from(it.next()?)),
-            "--fault-plan" => out.fault_plan = Some(PathBuf::from(it.next()?)),
-            "--failures" => out.failures = PathBuf::from(it.next()?),
-            "--retries" => out.retries = Some(it.next()?.parse().ok()?),
-            "--deadline" => match it.next()?.parse::<f64>().ok() {
-                Some(s) if s.is_finite() && s > 0.0 => out.deadline_s = Some(s),
-                _ => return None,
-            },
-            name if !name.starts_with('-') => out.names.push(name.to_string()),
-            _ => return None,
-        }
-    }
-    if out.all == out.names.is_empty() {
-        Some(out)
-    } else {
-        // both or neither of --all / explicit names
-        None
-    }
-}
-
-fn run(args: &[String]) -> ExitCode {
-    let Some(run_args) = parse_run_args(args) else {
-        return usage();
-    };
-    let mut params = if run_args.test_scale {
-        WorkloadParams::test()
-    } else {
-        WorkloadParams::paper()
-    };
-    params.solver_threads = run_args.solver_threads;
-    if let Err(e) = params.validate() {
-        eprintln!("stacksim: {e}");
-        return ExitCode::FAILURE;
-    }
-    let cache = if run_args.no_cache {
-        MemoCache::disabled()
-    } else {
-        MemoCache::at(&run_args.cache_dir)
-    };
-    let mut resilience = resilience::Resilience::default();
-    if let Some(retries) = run_args.retries {
+    if let Some(retries) = o.retries {
         resilience.retries = retries;
     }
-    resilience.deadline_s = run_args.deadline_s;
     // `run` is a thin in-process client of the same `Sim` session API the
     // `serve` daemon speaks: submit everything while paused, resume so
     // the whole selection lands in one batched runner invocation, then
     // collect the classic batch-level outcome for rendering.
     let sim = Sim::builder()
         .params(params)
-        .jobs(run_args.jobs)
-        .cache(cache)
+        .jobs(o.jobs)
+        .cache(open_cache(&o))
         .preflight(true)
         .resilience(resilience)
         .start_paused(true)
         .build();
-    let names: Vec<String> = if run_args.all {
+    let names: Vec<String> = if o.all {
         sim.registry()
             .names()
             .iter()
             .map(|n| n.to_string())
             .collect()
     } else {
-        run_args.names.clone()
+        o.names.clone()
     };
-    let faults = match FaultSession::start(run_args.fault_plan.as_ref()) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let obs = match ObsSession::start(run_args.metrics_out.as_ref(), run_args.events.as_ref()) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut handles = Vec::with_capacity(names.len());
-    let mut submit_error = None;
-    for name in &names {
-        match sim.submit(&ExperimentRequest::new(name)) {
-            Ok(handle) => handles.push(handle),
-            Err(e) => {
-                submit_error = Some(e);
-                break;
-            }
-        }
-    }
-    let outcome = if let Some(e) = submit_error {
-        Err(e)
-    } else {
+    let faults = FaultSession::start(o.fault_plan.as_deref())?;
+    let obs = obs_start(&o)?;
+    // the first rejected submission stops the rest
+    let submitted: Result<Vec<_>, _> = names
+        .iter()
+        .map(|name| sim.submit(&ExperimentRequest::new(name)))
+        .collect();
+    let outcome = submitted.map(|handles| {
         sim.resume();
         for handle in &handles {
             let _ = handle.wait();
         }
         sim.shutdown();
-        Ok(merge_outcomes(sim.drain_outcomes()))
-    };
-    if let Some(faults) = faults {
+        merge_outcomes(sim.drain_outcomes())
+    });
+    if let Some(path) = &o.fault_plan {
         println!(
             "fault plan {}: {} faults injected",
-            run_args
-                .fault_plan
-                .as_deref()
-                .unwrap_or_else(|| std::path::Path::new("?"))
-                .display(),
+            path.display(),
             stacksim::faults::injected_total()
         );
-        drop(faults);
     }
-    if let Some(obs) = obs {
-        if let Err(e) = obs.finish() {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
-        if let Some(path) = &run_args.metrics_out {
+    drop(faults);
+    if obs {
+        obs_finish(&o)?;
+        if let Some(path) = &o.metrics_out {
             println!("metrics snapshot written to {}", path.display());
         }
-        if let Some(path) = &run_args.events {
+        if let Some(path) = &o.events_out {
             println!("event log written to {}", path.display());
         }
     }
-    let outcome = match outcome {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcome = outcome.map_err(|e| e.to_string())?;
 
     let mut t = TextTable::new(["experiment", "status", "wall s", "CG iters", "trace refs"]);
     for entry in &outcome.report.entries {
@@ -460,7 +741,7 @@ fn run(args: &[String]) -> ExitCode {
         outcome.report.total_trace_records(),
     );
 
-    if run_args.show {
+    if o.show {
         // deterministic order: as reported
         for entry in &outcome.report.entries {
             if let Some(artifact) = outcome.artifacts.get(&entry.name) {
@@ -470,23 +751,20 @@ fn run(args: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(path) = &run_args.report {
-        if let Err(e) = outcome.report.write(path) {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &o.run_report {
+        outcome.report.write(path).map_err(|e| e.to_string())?;
         println!("report written to {}", path.display());
     }
 
-    if run_args.keep_going {
+    if o.keep_going {
         let failures = FailureReport::from_outcome(&outcome);
-        if let Err(e) = failures.write(&run_args.failures) {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
+        let path = o
+            .failures_out
+            .unwrap_or_else(|| PathBuf::from("target").join("stacksim-failures.json"));
+        failures.write(&path).map_err(|e| e.to_string())?;
         println!(
             "failure report written to {} ({} failures)",
-            run_args.failures.display(),
+            path.display(),
             failures.failures.len()
         );
         for f in &failures.failures {
@@ -495,22 +773,20 @@ fn run(args: &[String]) -> ExitCode {
                 f.name, f.kind, f.attempts, f.error
             );
         }
-        return if failures.failures.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return Ok(exit_status(failures.failures.is_empty()));
     }
 
-    let mut failed = false;
     for (name, error) in &outcome.errors {
         eprintln!("stacksim: {name} failed: {error}");
-        failed = true;
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    Ok(exit_status(outcome.errors.is_empty()))
+}
+
+fn exit_status(ok: bool) -> ExitCode {
+    if ok {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -542,138 +818,26 @@ fn merge_outcomes(outcomes: Vec<RunOutcome>) -> RunOutcome {
 /// `stacksim explore`: search a declarative design space for its Pareto
 /// frontier over (performance, peak temperature, power), reusing the
 /// memo cache for every overlapping sub-experiment.
-fn explore(args: &[String]) -> ExitCode {
-    use stacksim::explore::{run_exploration, ExploreConfig, SearchMode, SpaceSpec};
+fn explore(o: Opts) -> Result<ExitCode, String> {
+    use stacksim::explore::{render_report, run_exploration, ExploreConfig, SpaceSpec};
 
-    let mut mode = SearchMode::Grid;
-    let mut budget = 0usize;
-    let mut seed = 0u64;
-    let mut spec_file: Option<PathBuf> = None;
-    let mut out: Option<PathBuf> = None;
-    let mut report = false;
-    let mut jobs = 0usize;
-    let mut test_scale = false;
-    let mut no_cache = false;
-    let mut cache_dir = default_cache_dir();
-    let mut cache_max_bytes: Option<u64> = None;
-    let mut cache_shards = 16usize;
-    let mut metrics_out: Option<PathBuf> = None;
-    let mut events: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--report" => report = true,
-            "--test-scale" => test_scale = true,
-            "--no-cache" => no_cache = true,
-            "--mode" => match it.next().map(String::as_str).and_then(SearchMode::parse) {
-                Some(m) => mode = m,
-                None => return usage(),
-            },
-            "--budget" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => budget = n,
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => seed = n,
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            "--spec" => match it.next() {
-                Some(p) => spec_file = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(p) => out = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(d) => cache_dir = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--cache-max-bytes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => cache_max_bytes = Some(n),
-                _ => return usage(),
-            },
-            "--cache-shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if (1..=256).contains(&n) => cache_shards = n,
-                _ => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--events" => match it.next() {
-                Some(p) => events = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-
-    let spec = match &spec_file {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("stacksim: cannot read spec {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            };
-            match SpaceSpec::parse(&text) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("stacksim: invalid spec {}: {e}", path.display());
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
+    let spec = match &o.spec {
+        Some(path) => SpaceSpec::parse(&read_file("spec ", path)?)
+            .map_err(|e| format!("invalid spec {}: {e}", path.display()))?,
         None => SpaceSpec::default_space(),
-    };
-    let params = if test_scale {
-        WorkloadParams::test()
-    } else {
-        WorkloadParams::paper()
-    };
-    let cache = if no_cache {
-        MemoCache::disabled()
-    } else {
-        MemoCache::builder()
-            .dir(&cache_dir)
-            .max_bytes(cache_max_bytes)
-            .shards(cache_shards)
-            .build()
     };
     let cfg = ExploreConfig {
         spec,
-        mode,
-        budget,
-        seed,
+        mode: o.mode.unwrap_or(SearchMode::Grid),
+        budget: o.budget,
+        seed: o.seed,
     };
-
-    let obs = match ObsSession::start(metrics_out.as_ref(), events.as_ref()) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = run_exploration(&cfg, params, jobs, cache);
-    if let Some(obs) = obs {
-        if let Err(e) = obs.finish() {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
+    let obs = obs_start(&o)?;
+    let result = run_exploration(&cfg, scale(&o), o.jobs, open_cache(&o));
+    if obs {
+        obs_finish(&o)?;
     }
-    let outcome = match result {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("stacksim: explore failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let outcome = result.map_err(|e| format!("explore failed: {e}"))?;
 
     println!(
         "explored {} of {} design points ({} mode, seed {}): {} on the Pareto frontier",
@@ -691,24 +855,15 @@ fn explore(args: &[String]) -> ExitCode {
         100.0 * outcome.hit_rate(),
         outcome.cg_iterations,
     );
-
-    if report {
-        match stacksim::explore::render_report(&outcome.artifact_json) {
-            Ok(rendered) => println!("{rendered}"),
-            Err(e) => {
-                eprintln!("stacksim: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if o.explore_report {
+        println!("{}", render_report(&outcome.artifact_json)?);
     }
-    if let Some(path) = &out {
-        if let Err(e) = std::fs::write(path, format!("{}\n", outcome.artifact_json)) {
-            eprintln!("stacksim: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
+    if let Some(path) = &o.out {
+        std::fs::write(path, format!("{}\n", outcome.artifact_json))
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         println!("frontier artifact written to {}", path.display());
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Set by the SIGTERM/SIGINT handler; the serve accept loop polls it.
@@ -741,388 +896,128 @@ fn install_shutdown_signals() {}
 /// one warm `Sim` session (registry + shared cache + resilience policy)
 /// behind submit/status/artifact/metrics/healthz endpoints. SIGTERM or
 /// SIGINT drains in-flight experiments before exiting.
-fn serve(args: &[String]) -> ExitCode {
-    let mut options = stacksim::serve::ServeOptions::default();
-    let mut cache_dir = default_cache_dir();
-    let mut cache_max_bytes: Option<u64> = None;
-    let mut cache_shards: usize = 16;
-    let mut no_cache = false;
-    let mut test_scale = false;
-    let mut fault_plan: Option<PathBuf> = None;
-    let mut journal: Option<PathBuf> = None;
-    let mut no_journal = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--no-cache" => no_cache = true,
-            "--test-scale" => test_scale = true,
-            "--no-journal" => no_journal = true,
-            "--addr" => match it.next() {
-                Some(a) => options.addr = a.clone(),
-                None => return usage(),
-            },
-            "--pool" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => options.pool = n,
-                _ => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => options.jobs = n,
-                None => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(d) => cache_dir = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--cache-max-bytes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n > 0 => cache_max_bytes = Some(n),
-                _ => return usage(),
-            },
-            "--cache-shards" => match it.next().and_then(|v| v.parse().ok()) {
-                // the cache clamps to 1..=256 internally; reject out-of-range
-                // values here so a typo'd shard count fails loudly
-                Some(n) if (1..=256).contains(&n) => cache_shards = n,
-                _ => return usage(),
-            },
-            "--fault-plan" => match it.next() {
-                Some(p) => fault_plan = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--max-pending" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => options.max_pending = n,
-                None => return usage(),
-            },
-            "--max-conns" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => options.max_conns = n,
-                None => return usage(),
-            },
-            "--io-timeout" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(n) if n >= 1 => options.io_timeout = std::time::Duration::from_secs(n),
-                _ => return usage(),
-            },
-            "--journal" => match it.next() {
-                Some(p) => journal = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    options.params = if test_scale {
-        WorkloadParams::test()
-    } else {
-        WorkloadParams::paper()
-    };
-    options.cache = if no_cache {
-        MemoCache::disabled()
-    } else {
-        MemoCache::builder()
-            .dir(&cache_dir)
-            .max_bytes(cache_max_bytes)
-            .shards(cache_shards)
-            .build()
-    };
+fn serve(o: Opts) -> Result<ExitCode, String> {
+    let params = scale(&o);
+    let cache = open_cache(&o);
     // crash recovery rides the cache by default: a journaled request is
     // only cheap to replay when the artifact memoizes
-    options.journal = if no_journal {
+    let journal = if o.no_journal {
         None
     } else {
-        journal.or_else(|| (!no_cache).then(|| cache_dir.join("journal").join("requests.jsonl")))
+        let default = (!o.no_cache).then(|| cache_root(&o).join("journal").join("requests.jsonl"));
+        o.journal.clone().or(default)
     };
-    if let Some(path) = &fault_plan {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("stacksim: cannot read fault plan {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match resilience::parse_fault_plan(&text) {
-            Ok(plan) => options.fault_plan = Some(plan),
-            Err(e) => {
-                eprintln!("stacksim: invalid fault plan {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let fault_plan = o.fault_plan.as_deref().map(read_fault_plan).transpose()?;
+    let mut options = o.serve;
+    options.params = params;
+    options.jobs = o.jobs;
+    options.cache = cache;
+    options.journal = journal;
+    options.fault_plan = fault_plan;
 
-    let server = match stacksim::serve::Server::bind(options) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("stacksim: cannot bind serve address: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match server.local_addr() {
-        Ok(addr) => println!("stacksim serve listening on http://{addr}"),
-        Err(e) => {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
+    let server = stacksim::serve::Server::bind(options)
+        .map_err(|e| format!("cannot bind serve address: {e}"))?;
+    let addr = server.local_addr().map_err(|e| e.to_string())?;
+    println!("stacksim serve listening on http://{addr}");
     install_shutdown_signals();
-    match server.run(&SHUTDOWN) {
-        Ok(()) => {
-            println!("stacksim serve drained cleanly");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("stacksim: serve failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    server
+        .run(&SHUTDOWN)
+        .map_err(|e| format!("serve failed: {e}"))?;
+    println!("stacksim serve drained cleanly");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `stacksim check`: run the static lint passes over experiment models
 /// (plus the digest-coverage audit with `--all`) without simulating
 /// anything. Exit code 1 if any error-severity diagnostic fires.
-fn check(args: &[String]) -> ExitCode {
-    let mut names: Vec<String> = Vec::new();
-    let mut all = false;
-    let mut json = false;
-    let mut test_scale = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--all" => all = true,
-            "--test-scale" => test_scale = true,
-            "--format" => match it.next().map(String::as_str) {
-                Some("pretty") => json = false,
-                Some("json") => json = true,
-                _ => return usage(),
-            },
-            name if !name.starts_with('-') => names.push(name.to_string()),
-            _ => return usage(),
-        }
-    }
-    // valid: either --all with no names, or names with no --all
-    if all != names.is_empty() {
-        return usage();
-    }
-
-    let params = if test_scale {
-        WorkloadParams::test()
-    } else {
-        WorkloadParams::paper()
-    };
+fn check(o: Opts) -> Result<ExitCode, String> {
+    let params = scale(&o);
     let registry = Registry::standard();
-    let report = if all {
+    let report = if o.all {
         check::check_registry(&registry, &params)
     } else {
         let mut combined = stacksim::lint::Report::new();
-        for name in &names {
-            match check::check_experiment(&registry, name, &params) {
-                Ok(r) => combined.merge_under(name, r),
-                Err(e) => {
-                    eprintln!("stacksim: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        for name in &o.names {
+            let report =
+                check::check_experiment(&registry, name, &params).map_err(|e| e.to_string())?;
+            combined.merge_under(name, report);
         }
         combined
     };
-
-    if json {
+    if o.json {
         println!("{}", report.render_json());
     } else {
         println!("{}", report.render_pretty());
     }
-    if report.has_errors() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(exit_status(!report.has_errors()))
 }
 
 /// `stacksim bench`: time the thermal-solver fast path against the
 /// pre-optimization baseline plus memory-pipeline throughput, writing
 /// `BENCH_thermal.json` and `BENCH_mem.json` (re-parsed after writing, so
 /// a malformed artefact fails the command).
-fn bench(args: &[String]) -> ExitCode {
-    let mut opts = stacksim::bench::perf::BenchOptions::default();
-    let mut metrics_out = None;
-    let mut events = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--threads" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => opts.threads = n,
-                _ => return usage(),
-            },
-            "--out-dir" => match it.next() {
-                Some(d) => opts.out_dir = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--metrics-out" => match it.next() {
-                Some(p) => metrics_out = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--events" => match it.next() {
-                Some(p) => events = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
+fn bench(o: Opts) -> Result<ExitCode, String> {
+    let obs = obs_start(&o)?;
+    let result = stacksim::bench::perf::run(&o.bench);
+    if obs {
+        obs_finish(&o)?;
     }
-    let obs = match ObsSession::start(metrics_out.as_ref(), events.as_ref()) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = stacksim::bench::perf::run(&opts);
-    if let Some(obs) = obs {
-        if let Err(e) = obs.finish() {
-            eprintln!("stacksim: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    match result {
-        Ok(_) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("stacksim: bench failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    result.map_err(|e| format!("bench failed: {e}"))?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `stacksim stats`: validate an observability snapshot (default: the
 /// one the last `run`/`bench` left at `target/stacksim-obs/last.json`)
 /// and render it as tables, optionally validating a JSONL event log
 /// alongside. Exit code 1 on any schema violation.
-fn stats(args: &[String]) -> ExitCode {
-    let mut file: Option<PathBuf> = None;
-    let mut events: Option<PathBuf> = None;
-    let mut failures: Option<PathBuf> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--events" => match it.next() {
-                Some(p) => events = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--failures" => match it.next() {
-                Some(p) => failures = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--format" => match it.next().map(String::as_str) {
-                Some("pretty") => json = false,
-                Some("json") => json = true,
-                _ => return usage(),
-            },
-            name if !name.starts_with('-') && file.is_none() => file = Some(PathBuf::from(name)),
-            _ => return usage(),
-        }
-    }
-    let path = file.unwrap_or_else(obs_report::default_snapshot_path);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("stacksim: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let summary = match obs_report::validate_snapshot(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("stacksim: invalid snapshot {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    if json {
+fn stats(o: Opts) -> Result<ExitCode, String> {
+    let path = o.file.unwrap_or_else(obs_report::default_snapshot_path);
+    let text = read_file("", &path)?;
+    let invalid = |e: String| format!("invalid snapshot {}: {e}", path.display());
+    let summary = obs_report::validate_snapshot(&text).map_err(invalid)?;
+    if o.json {
         // already validated: the file itself is the machine-readable form
         println!("{}", text.trim_end());
     } else {
-        match obs_report::render_snapshot(&text) {
-            Ok(rendered) => {
-                println!("{rendered}");
-                println!(
-                    "{} counters, {} gauges, {} histograms ({})",
-                    summary.counters,
-                    summary.gauges,
-                    summary.histograms,
-                    path.display()
-                );
-            }
-            Err(e) => {
-                eprintln!("stacksim: invalid snapshot {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
+        println!("{}", obs_report::render_snapshot(&text).map_err(invalid)?);
+        println!(
+            "{} counters, {} gauges, {} histograms ({})",
+            summary.counters,
+            summary.gauges,
+            summary.histograms,
+            path.display()
+        );
+    }
+    if let Some(path) = &o.events_in {
+        let s = obs_report::validate_events(&read_file("", path)?)
+            .map_err(|e| format!("invalid event log {}: {e}", path.display()))?;
+        println!(
+            "event log {}: {} spans, {} point events",
+            path.display(),
+            s.spans,
+            s.points
+        );
+    }
+    if let Some(path) = &o.failures_in {
+        let report = FailureReport::validate(&read_file("", path)?)
+            .map_err(|e| format!("invalid failure report {}: {e}", path.display()))?;
+        println!(
+            "failure report {}: {} failures",
+            path.display(),
+            report.failures.len()
+        );
+        for f in &report.failures {
+            println!("  {} [{}] attempts={}", f.name, f.kind, f.attempts);
         }
     }
-    if let Some(events_path) = events {
-        let text = match std::fs::read_to_string(&events_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("stacksim: cannot read {}: {e}", events_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match obs_report::validate_events(&text) {
-            Ok(s) => println!(
-                "event log {}: {} spans, {} point events",
-                events_path.display(),
-                s.spans,
-                s.points
-            ),
-            Err(e) => {
-                eprintln!("stacksim: invalid event log {}: {e}", events_path.display());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(failures_path) = failures {
-        let text = match std::fs::read_to_string(&failures_path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("stacksim: cannot read {}: {e}", failures_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        match FailureReport::validate(&text) {
-            Ok(report) => {
-                println!(
-                    "failure report {}: {} failures",
-                    failures_path.display(),
-                    report.failures.len()
-                );
-                for f in &report.failures {
-                    println!("  {} [{}] attempts={}", f.name, f.kind, f.attempts);
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "stacksim: invalid failure report {}: {e}",
-                    failures_path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn clean(args: &[String]) -> ExitCode {
-    let mut cache_dir = default_cache_dir();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--cache-dir" => match it.next() {
-                Some(d) => cache_dir = PathBuf::from(d),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    match MemoCache::at(&cache_dir).clean() {
-        Ok(n) => {
-            println!("removed {n} cache entries from {}", cache_dir.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("stacksim: {e}");
-            ExitCode::FAILURE
-        }
-    }
+fn clean(o: Opts) -> Result<ExitCode, String> {
+    let removed = open_cache(&o).clean().map_err(|e| e.to_string())?;
+    println!(
+        "removed {removed} cache entries from {}",
+        cache_root(&o).display()
+    );
+    Ok(ExitCode::SUCCESS)
 }

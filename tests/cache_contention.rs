@@ -1,8 +1,10 @@
-//! Integration: two concurrent `stacksim` *processes* sharing one
-//! `--cache-dir` must not corrupt entries — the pid-unique tmp-file
-//! claim plus the locked eviction scan are the contract under test.
+//! Integration: `stacksim` *processes* sharing one `--cache-dir`. Two
+//! concurrent runs must not corrupt entries — the pid-unique tmp-file
+//! claim plus the locked eviction scan are the contract under test — and
+//! every command must see the one sharded layout, so what `explore`
+//! stores `run` hits and `clean` removes.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
 
 use stacksim::core::harness::Artifact;
@@ -11,6 +13,40 @@ fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("stacksim-contend-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// Every `*.json` file under `dir`, descending into shard subdirectories
+/// but not into the subdirectories named in `skip`.
+fn json_entries(dir: &Path, skip: &[&str]) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return out;
+    };
+    for entry in entries {
+        let path = entry.expect("read_dir").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() && !skip.contains(&name) {
+            out.extend(json_entries(&path, skip));
+        } else if path.is_file() && name.ends_with(".json") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// Runs one `stacksim` command against `cache` and asserts it succeeds.
+fn stacksim(args: &[&str], cache: &Path) {
+    let out = Command::new(env!("CARGO_BIN_EXE_stacksim"))
+        .args(args)
+        .arg("--cache-dir")
+        .arg(cache)
+        .output()
+        .expect("stacksim binary runs");
+    assert!(
+        out.status.success(),
+        "stacksim {args:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 fn spawn_run(cache: &PathBuf, names: &[&str]) -> Child {
@@ -45,16 +81,13 @@ fn two_processes_share_a_cache_dir_without_corruption() {
         );
     }
 
-    // every entry both writers left behind is a parseable artifact
+    // every entry both writers left behind, in every shard, is a
+    // parseable artifact
     let mut entries = 0;
-    for entry in std::fs::read_dir(&cache).expect("cache dir exists") {
-        let path = entry.expect("read_dir").path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-        if !path.is_file() || !name.ends_with(".json") {
-            continue;
-        }
+    for path in json_entries(&cache, &["quarantine"]) {
         let text = std::fs::read_to_string(&path).expect("read entry");
-        Artifact::decode(&text).unwrap_or_else(|e| panic!("corrupt cache entry {name}: {e}"));
+        Artifact::decode(&text)
+            .unwrap_or_else(|e| panic!("corrupt cache entry {}: {e}", path.display()));
         entries += 1;
     }
     assert!(entries >= 14, "fig5 closure + fig3 memoized, got {entries}");
@@ -84,5 +117,36 @@ fn two_processes_share_a_cache_dir_without_corruption() {
     );
     assert!(text.contains("\"cached\":true"));
     let _ = std::fs::remove_file(&report_path);
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// `explore` and `run` open the cache through the same layout: a point
+/// `explore` memoized is a hit for `run`, and `clean` leaves no entry in
+/// any shard.
+#[test]
+fn explore_run_and_clean_share_one_cache_layout() {
+    let cache = scratch_dir("layout");
+    std::fs::create_dir_all(&cache).expect("scratch dir");
+    let spec = cache.join("spec.txt");
+    std::fs::write(&spec, r#"{"benchmarks":["gauss"],"vf":[1.0]}"#).expect("write spec");
+    let spec = spec.to_str().expect("utf-8 path");
+    stacksim(&["explore", "--test-scale", "--spec", spec], &cache);
+
+    let report = cache.join("report.txt");
+    let report_arg = report.to_str().expect("utf-8 path");
+    stacksim(
+        &["run", "fig5:gauss", "--test-scale", "--report", report_arg],
+        &cache,
+    );
+    let text = std::fs::read_to_string(&report).expect("report written");
+    assert!(
+        text.contains("\"cached\":true") && !text.contains("\"cached\":false"),
+        "run must hit the entry explore stored: {text}"
+    );
+
+    assert!(!json_entries(&cache, &["journal"]).is_empty());
+    stacksim(&["clean"], &cache);
+    let left = json_entries(&cache, &["journal"]);
+    assert!(left.is_empty(), "clean left cache entries behind: {left:?}");
     let _ = std::fs::remove_dir_all(&cache);
 }

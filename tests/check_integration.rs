@@ -81,4 +81,51 @@ fn cli_check_rejects_unknown_names_and_bad_flags() {
         .output()
         .expect("stacksim binary runs");
     assert!(!both.status.success(), "--all plus names is a usage error");
+
+    // Every command shares one flag parser: an unknown flag, a flag
+    // missing its value and a malformed value are all usage errors (exit
+    // 2) before any work starts. `check` and `stats` take no numeric flag,
+    // so their malformed value is a bad `--format`; `list` and `clean`
+    // have no flag that takes a malformed value.
+    let usage_errors: &[&[&str]] = &[
+        &["list", "--bogus"],
+        &["run", "--all", "--bogus"],
+        &["run", "--all", "--jobs"],
+        &["run", "--all", "--jobs", "many"],
+        &["explore", "--bogus"],
+        &["explore", "--budget"],
+        &["explore", "--budget", "many"],
+        &["serve", "--bogus"],
+        &["serve", "--pool"],
+        &["serve", "--pool", "many"],
+        &["check", "--all", "--bogus"],
+        &["check", "--all", "--format"],
+        &["check", "--all", "--format", "xml"],
+        &["bench", "--bogus"],
+        &["bench", "--threads"],
+        &["bench", "--threads", "many"],
+        &["stats", "--bogus"],
+        &["stats", "--events"],
+        &["stats", "--format", "xml"],
+        &["clean", "--bogus"],
+        &["clean", "--cache-dir"],
+        // validation beyond parsing
+        &["run", "--all", "fig8"],
+        &["run", "--all", "--deadline", "-1"],
+        &["bench", "--threads", "0"],
+        // the shard count is a constant, no longer a flag
+        &["explore", "--cache-shards", "4"],
+        &["serve", "--cache-shards", "4"],
+    ];
+    for args in usage_errors {
+        let out = Command::new(env!("CARGO_BIN_EXE_stacksim"))
+            .args(*args)
+            .output()
+            .expect("stacksim binary runs");
+        assert_eq!(out.status.code(), Some(2), "stacksim {args:?} must exit 2");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).starts_with("usage: stacksim"),
+            "stacksim {args:?} must print the usage"
+        );
+    }
 }
