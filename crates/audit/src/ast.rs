@@ -29,6 +29,17 @@ pub struct Func {
     pub body: Range<usize>,
 }
 
+/// One `static`/`const` item outside any function body.
+#[derive(Debug, Clone)]
+pub struct ItemInit {
+    /// The item name.
+    pub name: String,
+    /// Whether the item (or an enclosing module/impl) is test-only.
+    pub is_test: bool,
+    /// Token range of the initializer (between `=` and `;`, exclusive).
+    pub init: Range<usize>,
+}
+
 /// The parsed shape of one source file.
 #[derive(Debug, Clone)]
 pub struct SourceFile {
@@ -38,6 +49,9 @@ pub struct SourceFile {
     pub lexed: Lexed,
     /// Every function with a body, in source order.
     pub functions: Vec<Func>,
+    /// Every `static`/`const` initializer outside a function body, in
+    /// source order (those inside a body are part of its token range).
+    pub item_inits: Vec<ItemInit>,
     /// Struct fields whose declared type mentions `HashMap`/`HashSet`.
     pub map_fields: BTreeSet<String>,
     /// Struct fields whose declared type mentions `Mutex`/`RwLock`.
@@ -62,6 +76,7 @@ impl SourceFile {
 pub fn parse(path: &str, lexed: Lexed) -> SourceFile {
     let toks = lexed.tokens.clone();
     let mut functions: Vec<Func> = Vec::new();
+    let mut item_inits: Vec<ItemInit> = Vec::new();
     let mut map_fields = BTreeSet::new();
     let mut lock_fields = BTreeSet::new();
     let mut cv_fields = BTreeSet::new();
@@ -105,6 +120,29 @@ pub fn parse(path: &str, lexed: Lexed) -> SourceFile {
                         functions[fi].body.end = i;
                     }
                 }
+                // a test attribute never reaches past its item's end
+                pending_test = false;
+                i += 1;
+            }
+            Tok::Punct(';') => {
+                // end of a brace-less item (`#[cfg(test)] use …;`)
+                pending_test = false;
+                i += 1;
+            }
+            Tok::Ident(kw)
+                if (kw == "static" || kw == "const")
+                    && !scopes.iter().any(|s| s.func.is_some()) =>
+            {
+                if let Some((name, init)) = item_init(&toks, i) {
+                    item_inits.push(ItemInit {
+                        name,
+                        is_test: scopes.iter().any(|s| s.test) || pending_test,
+                        init,
+                    });
+                    pending_test = false;
+                }
+                // keep walking the initializer so scope depth stays
+                // consistent
                 i += 1;
             }
             Tok::Ident(kw) if kw == "impl" => {
@@ -238,11 +276,59 @@ pub fn parse(path: &str, lexed: Lexed) -> SourceFile {
         path: path.to_string(),
         lexed,
         functions,
+        item_inits,
         map_fields,
         lock_fields,
         cv_fields,
         field_types,
     }
+}
+
+/// Recognises `static [mut] NAME: Type = init;` / `const NAME: Type =
+/// init;` at token `at` (the keyword) and returns the name and the
+/// initializer's token range. `const fn`, `*const T` and const generic
+/// parameters are not items and yield `None`.
+fn item_init(toks: &[Token], at: usize) -> Option<(String, Range<usize>)> {
+    let mut j = at + 1;
+    if toks.get(j).is_some_and(|t| t.kind.is_ident("mut")) {
+        j += 1;
+    }
+    let name = toks.get(j)?.kind.ident()?.to_string();
+    if !toks.get(j + 1)?.kind.is_punct(':') {
+        return None;
+    }
+    // the type runs to `=`; a `,`, `>` or `{` at generic depth 0 (or a
+    // `;` outside brackets) means this is not an item
+    let mut depth = 0i32;
+    let mut k = j + 2;
+    loop {
+        match &toks.get(k)?.kind {
+            Tok::Punct('<') | Tok::Punct('[') | Tok::Punct('(') => depth += 1,
+            Tok::Punct(']') | Tok::Punct(')') => depth -= 1,
+            // the `>` of a `->` return arrow closes nothing
+            Tok::Punct('>') if toks[k - 1].kind.is_punct('-') => {}
+            Tok::Punct('>') if depth == 0 => return None,
+            Tok::Punct('>') => depth -= 1,
+            Tok::Punct('=') if depth == 0 => break,
+            Tok::Punct(',') | Tok::Punct(';') | Tok::Punct('{') if depth == 0 => return None,
+            _ => {}
+        }
+        k += 1;
+    }
+    // the initializer runs to the `;` outside every bracket
+    let start = k + 1;
+    let mut depth = 0i32;
+    let mut end = start;
+    while end < toks.len() {
+        match &toks[end].kind {
+            Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => depth += 1,
+            Tok::Punct(')') | Tok::Punct(']') | Tok::Punct('}') => depth -= 1,
+            Tok::Punct(';') if depth == 0 => break,
+            _ => {}
+        }
+        end += 1;
+    }
+    Some((name, start..end))
 }
 
 /// The impl type name: the last identifier outside generic args in

@@ -1,7 +1,7 @@
-//! The audit baseline + ratchet, mirroring the xtask unwrap ratchet:
-//! `audit-baseline.txt` grandfathers known error-severity findings, new
-//! errors fail the build, and entries that stop matching must be removed
-//! (`--update-baseline`) so the count only ever ratchets down.
+//! The audit baseline + ratchet: `audit-baseline.txt` grandfathers known
+//! error-severity findings, new errors fail the build, and entries that
+//! stop matching must be removed (`--update-baseline`) so the count only
+//! ever ratchets down.
 //!
 //! Baseline keys deliberately omit line numbers — `SA006 path fn` — so
 //! unrelated edits shifting a file do not invalidate the baseline, while

@@ -1,18 +1,22 @@
-//! SA006 — panic-path audit: `unwrap()`/`expect()` calls and panicking
-//! macros in non-test code, with module-aware severity. In code that
-//! runs on the `sim-scheduler` thread or the serve worker pool — where a
-//! panic orphans dedup slots or kills a pool worker — they are errors;
-//! everywhere else they are warnings feeding the (now empty) unwrap
-//! ratchet. Indexing expressions in scheduler-context files are also
-//! surfaced as warnings, since `v[i]` panics are the same hazard in
-//! quieter clothing.
+//! SA006 — panic-path audit of non-test code.
 //!
-//! `// lint:allow(unwrap) reason` waivers (shared with the xtask
-//! ratchet) and `// audit:allow(SA006) reason` both suppress findings.
+//! - `unwrap()`/`expect()` calls are errors everywhere: in function
+//!   bodies (closures and macro arguments included) and in `static`/
+//!   `const` initializers. This is the workspace's unwrap ratchet; with
+//!   an empty `audit-baseline.txt` no new call can land.
+//! - Panicking macros are errors in code that runs on the
+//!   `sim-scheduler` thread or the serve worker pool — where a panic
+//!   orphans dedup slots or kills a pool worker — and warnings elsewhere.
+//! - Indexing expressions in those scheduler-context files are
+//!   warnings, since `v[i]` panics are the same hazard in quieter
+//!   clothing.
+//!
+//! `// lint:allow(unwrap) reason` and `// audit:allow(SA006) reason`
+//! both suppress findings.
 
 use stacksim_lint::{Report, Severity};
 
-use crate::ast::SourceFile;
+use crate::ast::{method_calls, SourceFile};
 use crate::lex::Tok;
 use crate::model::FnCtx;
 use crate::passes::emit;
@@ -43,6 +47,29 @@ pub fn run(files: &[SourceFile], report: &mut Report) {
         } else {
             Severity::Warning
         };
+        let panics = if sched {
+            " can panic on the scheduler/worker path"
+        } else {
+            " can panic"
+        };
+        for item in file.item_inits.iter().filter(|it| !it.is_test) {
+            for c in method_calls(file.tokens(), item.init.clone()) {
+                if c.name == "unwrap" || c.name == "expect" {
+                    emit(
+                        report,
+                        file,
+                        CODE,
+                        Severity::Error,
+                        c.line,
+                        format!(
+                            "`.{}()` in the initializer of `{}`{panics}; \
+                             return a typed error instead",
+                            c.name, item.name,
+                        ),
+                    );
+                }
+            }
+        }
         for func in file.functions.iter().filter(|f| !f.is_test) {
             let cx = FnCtx::new(file, func);
             let toks = cx.toks();
@@ -52,17 +79,11 @@ pub fn run(files: &[SourceFile], report: &mut Report) {
                         report,
                         file,
                         CODE,
-                        severity,
+                        Severity::Error,
                         c.line,
                         format!(
-                            "`.{}()` in fn `{}`{}; return a typed error instead",
-                            c.name,
-                            cx.func.qual,
-                            if sched {
-                                " can panic on the scheduler/worker path"
-                            } else {
-                                " can panic"
-                            },
+                            "`.{}()` in fn `{}`{panics}; return a typed error instead",
+                            c.name, cx.func.qual,
                         ),
                     );
                 }
@@ -154,12 +175,112 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_files_error_others_warn() {
+    fn unwrap_errors_everywhere_panic_macros_only_on_the_scheduler_path() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
         let r = report_for("crates/core/src/harness/session.rs", src);
         assert_eq!(r.error_count(), 1);
         let r = report_for("crates/mem/src/cache.rs", src);
+        assert_eq!((r.error_count(), r.warning_count()), (1, 0));
+        let src = "fn f() { panic!(\"boom\"); }";
+        let r = report_for("crates/core/src/harness/session.rs", src);
+        assert_eq!(r.error_count(), 1);
+        let r = report_for("crates/mem/src/cache.rs", src);
         assert_eq!((r.error_count(), r.warning_count()), (0, 1));
+    }
+
+    #[test]
+    fn finds_unwrap_and_expect_outside_tests() {
+        // the test attribute on the brace-less `use` ends at its `;` and
+        // does not leak onto `f`
+        let src = "#[cfg(test)]\nuse std::fmt;\n\
+                   fn f() {\n    let x = g().unwrap();\n    let y = h().expect(\"boom\");\n}\n";
+        let r = report_for("crates/foo/src/lib.rs", src);
+        let found: Vec<(&str, &str)> = r
+            .diagnostics()
+            .iter()
+            .map(|d| (d.span.as_str(), d.message.as_str()))
+            .collect();
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert_eq!(found[0].0, "crates/foo/src/lib.rs:4");
+        assert!(found[0].1.starts_with("`.unwrap()`"), "{found:?}");
+        assert_eq!(found[1].0, "crates/foo/src/lib.rs:5");
+        assert!(found[1].1.starts_with("`.expect()`"), "{found:?}");
+    }
+
+    #[test]
+    fn ignores_test_modules_fallbacks_and_comments() {
+        let src = "\
+fn f() {
+    let a = g().unwrap_or_else(|e| e.into_inner());
+    let b = g().unwrap_or_default();
+    // calling .unwrap() here would be bad
+    /* and so would .expect(\"this\") */
+    let c = o.expect_err(\"must fail\");
+    let d = o.unwrap_err();
+    let s = \"a string mentioning .unwrap() is no call\";
+}
+
+#[cfg(test)]
+mod tests {
+    static T: u32 = Some(1).unwrap();
+    #[test]
+    fn t() {
+        g().unwrap();
+        h().expect(\"fine in tests\");
+    }
+}
+";
+        let r = report_for("crates/foo/src/lib.rs", src);
+        assert!(r.is_clean(), "{}", r.render_pretty());
+    }
+
+    #[test]
+    fn lint_allow_unwrap_waiver_suppresses_a_line_in_any_crate() {
+        let src = "fn f() {\n    g().unwrap(); // lint:allow(unwrap) poisoning is unrecoverable here\n}\n";
+        let r = report_for("crates/foo/src/lib.rs", src);
+        assert!(r.is_clean(), "{}", r.render_pretty());
+    }
+
+    /// The places a line-oriented scanner also sees: a macro argument, a
+    /// closure body, and `static`/`const` initializers outside any
+    /// function — in free items and in impl blocks alike.
+    #[test]
+    fn unwrap_in_macro_args_closures_and_item_initializers_is_found() {
+        let src = "\
+static NAME: LazyLock<String> = LazyLock::new(|| std::env::var(\"X\").unwrap());
+const LIMIT: u32 = Some(7).expect(\"const unwrap\");
+const fn not_an_item() -> u32 { 1 }
+struct S<const N: usize>;
+impl S<3> {
+    const MAX: u32 = Some(1).unwrap();
+}
+fn f(v: Option<u32>) -> u32 {
+    println!(\"{}\", v.unwrap());
+    let g = |w: Option<u32>| w.expect(\"closure\");
+    g(v)
+}
+";
+        let r = report_for("crates/foo/src/lib.rs", src);
+        let lines: Vec<&str> = r
+            .diagnostics()
+            .iter()
+            .map(|d| d.span.rsplit(':').next().unwrap_or(""))
+            .collect();
+        assert_eq!(r.error_count(), 5, "{}", r.render_pretty());
+        assert_eq!(lines, ["1", "2", "6", "9", "10"], "{}", r.render_pretty());
+    }
+
+    /// A new unwrap in any crate fails the ratchet against the committed
+    /// (empty) baseline.
+    #[test]
+    fn a_new_unwrap_fails_against_an_empty_baseline() {
+        let r = report_for(
+            "crates/mem/src/cache.rs",
+            "fn f() {\n    g().unwrap();\n}\n",
+        );
+        let verdict = crate::baseline::compare(r.diagnostics(), &Default::default());
+        assert_eq!(verdict.new_errors.len(), 1);
+        assert!(!verdict.is_ok());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   ([`stacksim_thermal::reference`], the baseline every speedup is
 //!   measured against), the optimized kernel solving every point cold
 //!   (isolating the kernel gains), and the fast path (warm-started
-//!   chaining, line-Z preconditioner, the requested thread count). The file
+//!   chaining at the requested thread count). The file
 //!   records wall time, CG iteration counts, cell-update throughput and the
 //!   speedup of fast over baseline, plus the worst peak-temperature
 //!   disagreement between baseline and fast as a correctness guard.
@@ -30,7 +30,7 @@ use stacksim_core::harness::json::Json;
 use stacksim_core::sensitivity::{fig3_cold_with, fig3_reference, fig3_stack, fig3_with};
 use stacksim_core::Fig3Data;
 use stacksim_mem::{Engine, EngineConfig, HierarchyConfig, MemoryHierarchy};
-use stacksim_thermal::{Preconditioner, SolveStats, SolverConfig};
+use stacksim_thermal::{SolveStats, SolverConfig};
 use stacksim_workloads::{RmsBenchmark, WorkloadParams};
 
 use crate::timing::{bench_n, group, Sample};
@@ -100,7 +100,6 @@ struct ThermalLeg {
     stats: SolveStats,
     data: Fig3Data,
     threads: usize,
-    preconditioner: Preconditioner,
     warm_start: bool,
 }
 
@@ -114,10 +113,6 @@ impl ThermalLeg {
             ("solves", Json::Num(self.stats.solves as f64)),
             ("cg_iterations", Json::Num(self.stats.iterations as f64)),
             ("threads", Json::Num(self.threads as f64)),
-            (
-                "preconditioner",
-                Json::Str(self.preconditioner.label().to_string()),
-            ),
             ("warm_start", Json::Bool(self.warm_start)),
             (
                 "cell_updates_per_sec",
@@ -136,10 +131,7 @@ fn bench_thermal(opts: &BenchOptions, samples: usize) -> Result<Json, String> {
     group("thermal: fig3 conductivity sweep");
 
     let base_cfg = SolverConfig::default();
-    let fast_cfg = SolverConfig::builder()
-        .threads(opts.threads)
-        .preconditioner(Preconditioner::LineZ)
-        .build();
+    let fast_cfg = SolverConfig::builder().threads(opts.threads).build();
 
     // Untimed runs first: collect CG statistics and the result sets so the
     // artefact can record how far the slow and fast paths disagree.
@@ -151,7 +143,7 @@ fn bench_thermal(opts: &BenchOptions, samples: usize) -> Result<Json, String> {
     let cold_sample = bench_n("fig3_sweep/cold_jacobi_t1", samples, || {
         fig3_cold_with(base_cfg)
     });
-    let fast_sample = bench_n("fig3_sweep/warm_linez", samples, || fig3_with(fast_cfg));
+    let fast_sample = bench_n("fig3_sweep/warm_jacobi", samples, || fig3_with(fast_cfg));
 
     let baseline = ThermalLeg {
         label: "reference",
@@ -159,7 +151,6 @@ fn bench_thermal(opts: &BenchOptions, samples: usize) -> Result<Json, String> {
         stats: ref_stats,
         data: ref_data,
         threads: 1,
-        preconditioner: Preconditioner::Jacobi,
         warm_start: false,
     };
     let kernel = ThermalLeg {
@@ -168,16 +159,14 @@ fn bench_thermal(opts: &BenchOptions, samples: usize) -> Result<Json, String> {
         stats: cold_stats,
         data: cold_data,
         threads: 1,
-        preconditioner: Preconditioner::Jacobi,
         warm_start: false,
     };
     let fast = ThermalLeg {
-        label: "warm_linez",
+        label: "warm_jacobi",
         sample: fast_sample,
         stats: fast_stats,
         data: fast_data,
         threads: opts.threads,
-        preconditioner: Preconditioner::LineZ,
         warm_start: true,
     };
 

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use stacksim_faults::{Fault, FaultPlan, FaultRule};
-use stacksim_thermal::{Preconditioner, SolverConfig};
+use stacksim_thermal::SolverConfig;
 
 use super::json::Json;
 use super::runner::RunOutcome;
@@ -73,13 +73,10 @@ pub enum SolverDegrade {
     /// The experiment's own configuration, untouched.
     #[default]
     AsConfigured,
-    /// Force the Jacobi preconditioner (the robust default; LineZ's
-    /// stronger coupling can stall on ill-conditioned stacks).
-    ForceJacobi,
-    /// Jacobi plus an 8× `max_iters` allowance.
+    /// An 8× `max_iters` allowance.
     RaiseIters,
-    /// Jacobi, 8× `max_iters`, and cold starts (no warm-start chaining —
-    /// rules a poisoned initial guess out entirely).
+    /// 8× `max_iters` and cold starts (no warm-start chaining — rules a
+    /// poisoned initial guess out entirely).
     ColdStart,
 }
 
@@ -88,20 +85,17 @@ impl SolverDegrade {
     #[must_use]
     pub fn next(self) -> Option<SolverDegrade> {
         match self {
-            SolverDegrade::AsConfigured => Some(SolverDegrade::ForceJacobi),
-            SolverDegrade::ForceJacobi => Some(SolverDegrade::RaiseIters),
+            SolverDegrade::AsConfigured => Some(SolverDegrade::RaiseIters),
             SolverDegrade::RaiseIters => Some(SolverDegrade::ColdStart),
             SolverDegrade::ColdStart => None,
         }
     }
 
-    /// Stable label for reports (`none` / `jacobi` / `raised-iters` /
-    /// `cold-start`).
+    /// Stable label for reports (`none` / `raised-iters` / `cold-start`).
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
             SolverDegrade::AsConfigured => "none",
-            SolverDegrade::ForceJacobi => "jacobi",
             SolverDegrade::RaiseIters => "raised-iters",
             SolverDegrade::ColdStart => "cold-start",
         }
@@ -112,13 +106,8 @@ impl SolverDegrade {
     pub fn apply(self, mut cfg: SolverConfig) -> SolverConfig {
         match self {
             SolverDegrade::AsConfigured => {}
-            SolverDegrade::ForceJacobi => cfg.preconditioner = Preconditioner::Jacobi,
-            SolverDegrade::RaiseIters => {
-                cfg.preconditioner = Preconditioner::Jacobi;
-                cfg.max_iters = cfg.max_iters.saturating_mul(8);
-            }
+            SolverDegrade::RaiseIters => cfg.max_iters = cfg.max_iters.saturating_mul(8),
             SolverDegrade::ColdStart => {
-                cfg.preconditioner = Preconditioner::Jacobi;
                 cfg.max_iters = cfg.max_iters.saturating_mul(8);
                 cfg.warm_start = false;
             }
@@ -471,18 +460,12 @@ mod tests {
             rung = next;
             labels.push(rung.label());
         }
-        assert_eq!(labels, ["none", "jacobi", "raised-iters", "cold-start"]);
+        assert_eq!(labels, ["none", "raised-iters", "cold-start"]);
     }
 
     #[test]
     fn ladder_apply_is_cumulative_per_rung() {
-        let base = SolverConfig::builder()
-            .preconditioner(Preconditioner::LineZ)
-            .build();
-        let cfg = SolverDegrade::ForceJacobi.apply(base);
-        assert_eq!(cfg.preconditioner, Preconditioner::Jacobi);
-        assert_eq!(cfg.max_iters, base.max_iters);
-        assert!(cfg.warm_start);
+        let base = SolverConfig::builder().max_iters(500).build();
         let cfg = SolverDegrade::RaiseIters.apply(base);
         assert_eq!(cfg.max_iters, base.max_iters * 8);
         assert!(cfg.warm_start);
@@ -491,6 +474,25 @@ mod tests {
         assert!(!cfg.warm_start);
         // untouched on the first rung
         assert_eq!(SolverDegrade::AsConfigured.apply(base), base);
+    }
+
+    /// Every rung must change what the solver runs: a rung whose `apply`
+    /// equals the previous rung's would re-run an identical solve and
+    /// waste an attempt.
+    #[test]
+    fn every_rung_changes_the_default_config() {
+        let base = SolverConfig::default();
+        let mut rung = SolverDegrade::AsConfigured;
+        while let Some(next) = rung.next() {
+            assert_ne!(
+                next.apply(base),
+                rung.apply(base),
+                "rung `{}` repeats rung `{}`",
+                next.label(),
+                rung.label()
+            );
+            rung = next;
+        }
     }
 
     #[test]

@@ -432,7 +432,9 @@ pub struct SimStats {
     pub dedup_hits: u64,
     /// Requests currently queued or running.
     pub inflight: u64,
-    /// Requests finished.
+    /// Requests finished. Each request is counted before its handles are
+    /// woken, so a caller returning from [`RequestHandle::wait`] already
+    /// sees its own request here.
     pub completed: u64,
 }
 
@@ -952,9 +954,6 @@ fn scheduler_loop(inner: &Inner) {
         for slot in &batch {
             st.inflight.remove(&slot.dedup_key());
         }
-        inner
-            .completed
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
         Inner::publish_inflight(&st);
         drop(st);
         inner.idle.notify_all();
@@ -1063,8 +1062,9 @@ fn restore_fault_plane(inner: &Inner) {
     }
 }
 
-/// Publishes a slot's terminal outcome: journals it, counts expired
-/// deadlines, and wakes every waiter.
+/// Publishes a slot's terminal outcome: journals it, counts it (and an
+/// expired deadline), and only then wakes every waiter, so a woken
+/// waiter's `stats()` already includes its own request.
 fn finish_slot(inner: &Inner, slot: &Slot, outcome: RequestOutcome) {
     if outcome.report.error_kind.as_deref() == Some("deadline") && stacksim_obs::enabled() {
         stacksim_obs::counter(super::obs::SERVE_DEADLINE_EXCEEDED).add(1);
@@ -1072,6 +1072,7 @@ fn finish_slot(inner: &Inner, slot: &Slot, outcome: RequestOutcome) {
     if let Some(journal) = &inner.journal {
         let _ = journal.record_done(slot.id, outcome.is_ok());
     }
+    inner.completed.fetch_add(1, Ordering::Relaxed);
     slot.finish(outcome);
 }
 

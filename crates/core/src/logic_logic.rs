@@ -142,8 +142,8 @@ pub fn fig11_instrumented() -> Result<(Vec<Fig11Point>, SolveStats), Error> {
 }
 
 /// [`fig11_instrumented`] under an explicit solver configuration — the
-/// harness threads its execution knobs (worker threads, preconditioner)
-/// through here.
+/// harness threads its execution knob (worker threads) and the resilience
+/// ladder's iteration and warm-start settings through here.
 ///
 /// # Errors
 ///
@@ -237,8 +237,8 @@ pub fn table5_instrumented() -> Result<(Vec<Table5Row>, SolveStats), Error> {
 }
 
 /// [`table5_instrumented`] under an explicit solver configuration — the
-/// harness threads its execution knobs (worker threads, preconditioner)
-/// through here.
+/// harness threads its execution knob (worker threads) and the resilience
+/// ladder's iteration and warm-start settings through here.
 ///
 /// # Errors
 ///

@@ -254,8 +254,8 @@ pub fn fig8_instrumented() -> Result<(Vec<ThermalPoint>, SolveStats), Error> {
 }
 
 /// [`fig8_instrumented`] under an explicit solver configuration — the
-/// harness threads its execution knobs (worker threads, preconditioner)
-/// through here.
+/// harness threads its execution knob (worker threads) and the resilience
+/// ladder's iteration and warm-start settings through here.
 ///
 /// # Errors
 ///

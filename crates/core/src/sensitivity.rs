@@ -57,8 +57,9 @@ pub fn fig3_instrumented() -> Result<(Fig3Data, SolveStats), Error> {
 }
 
 /// [`fig3_instrumented`] under an explicit solver configuration — the
-/// harness threads its execution knobs (worker threads, preconditioner)
-/// through here; `stacksim bench` uses it to time the sweep end to end.
+/// harness threads its execution knob (worker threads) and the resilience
+/// ladder's iteration and warm-start settings through here; `stacksim
+/// bench` uses it to time the sweep end to end.
 ///
 /// # Errors
 ///
@@ -115,7 +116,7 @@ pub fn fig3_reference(cfg: SolverConfig) -> Result<(Fig3Data, SolveStats), Error
 /// The Fig. 3 sweep with every point solved cold (from ambient) by the
 /// *optimized* kernel, ignoring the warm-start chaining [`fig3_with`]
 /// uses. `stacksim bench` reports it as the kernel-only leg, isolating the
-/// stencil/fusion gains from the warm-start and preconditioner gains.
+/// stencil/fusion gains from the warm-start gains.
 /// Results are identical to [`fig3_with`] up to the solver tolerance.
 ///
 /// # Errors

@@ -117,7 +117,8 @@ impl Experiment for ThermalPointExp {
             .usize(cfg.ny)
             .usize(cfg.max_iters)
             .f64(cfg.tolerance)
-            .str(cfg.preconditioner.label())
+            // the former preconditioner label, kept so cache keys stay put
+            .str("jacobi")
             .f64(self.vf)
             .str(self.option.label())
             .str(self.boundary.label());

@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] names *sites* (stable strings like `harness.cache.load`
 //! or `thermal.cg`, declared by the instrumented crates) and describes
 //! which evaluations of each site should fail, keyed by the site's
-//! *key* — the experiment name at harness sites, the preconditioner label
-//! at solver sites. Instrumented code asks [`check`] at each site; the
+//! *key* — the experiment name at harness sites, `jacobi` (the solver's
+//! one preconditioner) at `thermal.cg`. Instrumented code asks [`check`] at each site; the
 //! decision depends only on the plan, the key and the per-(rule, key)
 //! evaluation count, never on wall-clock time or thread interleaving, so
 //! the same plan and seed reproduce the same fault schedule run after run.

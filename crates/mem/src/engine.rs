@@ -7,7 +7,7 @@
 //! configurable outstanding-miss window, which bounds memory-level
 //! parallelism like a set of MSHRs would).
 
-use stacksim_trace::{CpuId, MemOp, RecordBlock, Trace, TraceRecord};
+use stacksim_trace::{CpuId, MemOp, RecordBlock, Trace};
 
 use crate::config::{ConfigError, Cycles};
 use crate::hierarchy::MemoryHierarchy;
@@ -329,58 +329,6 @@ impl Engine {
         }
     }
 
-    /// Runs a record stream without materialising it, for paper-scale
-    /// (billions of references) runs. Dependencies must point at most
-    /// `dep_window` records back — the engine keeps only a ring of recent
-    /// completion times. Kernel-generated traces have short dependence
-    /// distances (indices feeding gathers, reduction chains), so a few
-    /// thousand is ample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dep_window` is zero, a record's dependency is further
-    /// back than `dep_window`, or the stream's ids are not dense from 0.
-    pub fn run_stream<I>(&mut self, records: I, dep_window: usize) -> RunResult
-    where
-        I: IntoIterator<Item = TraceRecord>,
-    {
-        assert!(dep_window > 0, "dependency window must be positive");
-        let mut ring: Vec<Cycles> = vec![0; dep_window];
-        let mut cpus: Vec<CpuState> = Vec::new();
-        let mut last_done: Cycles = 0;
-        let mut n: u64 = 0;
-        for r in records {
-            assert_eq!(r.id.raw(), n, "stream ids must be dense from zero");
-            if let Some(dep) = r.dep {
-                // A distance of *exactly* `dep_window` is legal: the
-                // dependency's completion still sits in
-                // `ring[dep % dep_window]` — the very slot this record
-                // overwrites below — and the issue step reads it before
-                // that overwrite. Any greater distance has already been
-                // clobbered by an intervening record, so it must panic
-                // rather than silently use a younger completion time.
-                assert!(
-                    r.id.raw() - dep.raw() <= dep_window as u64,
-                    "dependency distance {} exceeds the window {dep_window}",
-                    r.id.raw() - dep.raw()
-                );
-            }
-            if r.cpu.index() >= cpus.len() {
-                cpus.resize_with(r.cpu.index() + 1, CpuState::default);
-            }
-            let dep_done = r.dep.map_or(0, |dep| ring[dep.index() % dep_window]);
-            let issued = self.issue(r.cpu, r.op, r.addr, &mut cpus[r.cpu.index()], dep_done);
-            ring[r.id.index() % dep_window] = issued.done;
-            last_done = last_done.max(issued.done);
-            n += 1;
-        }
-        self.hierarchy.obs_flush();
-        if stacksim_obs::enabled() {
-            stacksim_obs::counter(crate::obs::ENGINE_RECORDS).add(n);
-        }
-        self.stream_result(last_done, n)
-    }
-
     /// Runs a stream of packed-record blocks — the generate-while-simulate
     /// pipeline. Blocks typically arrive through a bounded channel fed by a
     /// producer thread (see `stacksim-workloads`), so the whole trace is
@@ -411,6 +359,9 @@ impl Engine {
         for block in blocks {
             for p in &block {
                 let d = p.dep_offset() as usize;
+                // A distance of exactly `dep_window` is legal even when the
+                // ring is no longer than the window: the dependency's slot
+                // is the one this record overwrites, and it is read first.
                 assert!(
                     d <= dep_window,
                     "dependency distance {d} exceeds the window {dep_window}"
@@ -433,8 +384,8 @@ impl Engine {
         self.stream_result(last_done, n as u64)
     }
 
-    /// Whole-stream accounting shared by [`Engine::run_stream`] and
-    /// [`Engine::run_blocks`]: the measured interval opens at cycle 0.
+    /// Whole-stream accounting of [`Engine::run_blocks`]: the measured
+    /// interval opens at cycle 0.
     fn stream_result(&self, last_done: Cycles, n: u64) -> RunResult {
         let stats = *self.hierarchy.stats();
         let bytes = self.hierarchy.bus().bytes();
@@ -462,7 +413,7 @@ impl Engine {
     /// The one issue/drain/access/cursor sequence shared by every run
     /// path. `dep_done` is the completion time of the record's dependency
     /// (0 when it has none); it is ignored under the `ignore_deps`
-    /// ablation. Force-inlined: with four call sites this loses the
+    /// ablation. Force-inlined: with three call sites this loses the
     /// inliner's cost model, but each replay loop wants the whole
     /// issue/access/insert chain flattened so the per-cpu state stays in
     /// registers across records.
@@ -761,133 +712,78 @@ mod tests {
         b.build()
     }
 
-    fn assert_stream_matches_run(cfg: EngineConfig, t: &Trace, dep_window: usize) {
-        let mut batch_engine = Engine::new(
-            MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-            cfg,
-        );
-        let batch = batch_engine.run(t);
-        let mut stream_engine = Engine::new(
-            MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-            cfg,
-        );
-        let stream = stream_engine.run_stream(t.iter(), dep_window);
-        assert_eq!(batch.total_cycles, stream.total_cycles, "cfg {cfg:?}");
-        assert_eq!(batch.offdie_bytes, stream.offdie_bytes, "cfg {cfg:?}");
-        assert_eq!(batch.references, stream.references, "cfg {cfg:?}");
-        assert_eq!(batch.stats, stream.stats, "cfg {cfg:?}");
-    }
-
-    #[test]
-    fn run_stream_matches_run_on_materialised_traces() {
-        assert_stream_matches_run(EngineConfig::default(), &mixed_trace(5_000), 64);
-    }
-
-    #[test]
-    fn run_stream_matches_run_with_nonzero_lookahead_variants() {
-        // The shared issue core must agree for lookahead 0 (cursor pinned
-        // to the newest issue), the default 192, and an effectively
-        // unbounded lookahead.
-        let t = mixed_trace(5_000);
-        for rob_lookahead in [0, 192, 1 << 40] {
-            let cfg = EngineConfig {
-                rob_lookahead,
-                ..EngineConfig::default()
-            };
-            assert_stream_matches_run(cfg, &t, 64);
-        }
-    }
-
-    #[test]
-    fn run_stream_matches_run_with_saturated_window() {
-        // window=2 forces the outstanding-miss drain loop to run on nearly
-        // every record, exercising the full-window path of the shared core.
-        let cfg = EngineConfig {
-            window: 2,
-            ..EngineConfig::default()
-        };
-        assert_stream_matches_run(cfg, &mixed_trace(5_000), 64);
-    }
-
-    #[test]
-    fn run_stream_accepts_dependency_at_exactly_dep_window() {
-        // Distance == dep_window is the boundary the ring invariant makes
-        // legal: the dependency's slot is read before this record
-        // overwrites it. The stream must also agree with the batch path.
-        let dep_window = 16usize;
+    /// A trace whose last record depends on the first, `distance`
+    /// records back.
+    fn dependency_at_distance(distance: u64) -> Trace {
         let mut b = TraceBuilder::new();
         let first = b.record_dep(CpuId::new(0), MemOp::Load, 0, 0, None);
-        for i in 1..dep_window as u64 {
+        for i in 1..distance {
             b.record(CpuId::new(0), MemOp::Load, i << 20, 0);
         }
-        // id == dep_window, dep id == 0: distance exactly dep_window
         b.record_dep(CpuId::new(0), MemOp::Load, 64, 0, Some(first));
-        let t = b.build();
-        assert_stream_matches_run(EngineConfig::default(), &t, dep_window);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the window")]
-    fn run_stream_rejects_dependency_at_dep_window_plus_one() {
-        // One past the boundary: the slot has been overwritten by the
-        // depending record's predecessor, so the engine must refuse.
-        let dep_window = 16usize;
-        let mut b = TraceBuilder::new();
-        let first = b.record_dep(CpuId::new(0), MemOp::Load, 0, 0, None);
-        for i in 1..=dep_window as u64 {
-            b.record(CpuId::new(0), MemOp::Load, i << 20, 0);
-        }
-        // id == dep_window + 1, dep id == 0
-        b.record_dep(CpuId::new(0), MemOp::Load, 64, 0, Some(first));
-        let t = b.build();
-        let _ = engine().run_stream(t.iter(), dep_window);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the window")]
-    fn run_stream_rejects_distant_dependencies() {
-        let mut b = TraceBuilder::new();
-        let first = b.record(CpuId::new(0), MemOp::Load, 0, 0);
-        for _ in 0..100 {
-            b.record(CpuId::new(0), MemOp::Load, 64, 0);
-        }
-        b.record_dep(CpuId::new(0), MemOp::Load, 128, 0, Some(first));
-        let t = b.build();
-        let _ = engine().run_stream(t.iter(), 16);
+        b.build()
     }
 
     #[test]
     fn run_blocks_matches_run_at_any_block_size() {
-        let t = mixed_trace(5_000);
-        let batch = engine().run(&t);
-        for block_len in [1usize, 64, 4096] {
-            let blocks: Vec<_> = t.packed().chunks(block_len).map(<[_]>::to_vec).collect();
-            let mut e = engine();
-            let streamed = e.run_blocks(blocks, 64);
-            assert_eq!(
-                batch.total_cycles, streamed.total_cycles,
-                "block {block_len}"
-            );
-            assert_eq!(
-                batch.offdie_bytes, streamed.offdie_bytes,
-                "block {block_len}"
-            );
-            assert_eq!(batch.references, streamed.references, "block {block_len}");
-            assert_eq!(batch.stats, streamed.stats, "block {block_len}");
+        let with = |f: fn(&mut EngineConfig)| {
+            let mut cfg = EngineConfig::default();
+            f(&mut cfg);
+            cfg
+        };
+        // (engine config, trace, dependency window): the default config;
+        // lookahead 0 (cursor pinned to the newest issue) and an
+        // effectively unbounded one; window=2, which runs the
+        // outstanding-miss drain on nearly every record; and a dependency
+        // at exactly `dep_window`, the boundary the ring makes legal (the
+        // dependency's slot is read before this record overwrites it).
+        let cases = [
+            (EngineConfig::default(), mixed_trace(5_000), 64),
+            (with(|c| c.rob_lookahead = 0), mixed_trace(5_000), 64),
+            (with(|c| c.rob_lookahead = 1 << 40), mixed_trace(5_000), 64),
+            (with(|c| c.window = 2), mixed_trace(5_000), 64),
+            (EngineConfig::default(), dependency_at_distance(16), 16),
+        ];
+        for (cfg, t, dep_window) in &cases {
+            let new_engine = || {
+                Engine::new(
+                    MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
+                    *cfg,
+                )
+            };
+            let batch = new_engine().run(t);
+            for block_len in [1usize, 64, 4096] {
+                let blocks: Vec<_> = t.packed().chunks(block_len).map(<[_]>::to_vec).collect();
+                let streamed = new_engine().run_blocks(blocks, *dep_window);
+                let at = format!("cfg {cfg:?}, block {block_len}");
+                assert_eq!(batch.total_cycles, streamed.total_cycles, "{at}");
+                assert_eq!(batch.offdie_bytes, streamed.offdie_bytes, "{at}");
+                assert_eq!(batch.references, streamed.references, "{at}");
+                assert_eq!(batch.stats, streamed.stats, "{at}");
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the window")]
     fn run_blocks_rejects_distant_dependencies() {
-        let mut b = TraceBuilder::new();
-        let first = b.record(CpuId::new(0), MemOp::Load, 0, 0);
-        for _ in 0..100 {
-            b.record(CpuId::new(0), MemOp::Load, 64, 0);
+        // Far past the window, and one past the boundary, where the
+        // dependency's slot has already been overwritten by a younger
+        // record: both must panic rather than read a wrong completion.
+        for distance in [101u64, 17] {
+            let t = dependency_at_distance(distance);
+            let caught = std::panic::catch_unwind(|| {
+                let _ = engine().run_blocks([t.packed().to_vec()], 16);
+            });
+            let payload = caught.expect_err("dependency beyond the window must panic");
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                message.contains("exceeds the window"),
+                "distance {distance}: {message}"
+            );
         }
-        b.record_dep(CpuId::new(0), MemOp::Load, 128, 0, Some(first));
-        let t = b.build();
-        let _ = engine().run_blocks([t.packed().to_vec()], 16);
     }
 
     #[test]

@@ -46,8 +46,7 @@ pub use field::TemperatureField;
 pub use resistor::ResistorStack;
 pub use solver::reference;
 pub use solver::{
-    solve, solve_transient, solve_with_stats, Preconditioner, Solution, SolveError, SolveStats,
-    SolverConfig, SolverConfigBuilder, SolverConfigError, System, TransientPoint,
-    MAX_SOLVER_THREADS,
+    solve, solve_transient, solve_with_stats, Solution, SolveError, SolveStats, SolverConfig,
+    SolverConfigBuilder, SolverConfigError, System, TransientPoint, MAX_SOLVER_THREADS,
 };
 pub use stack::{Boundary, Layer, LayerStack, DESKTOP_H_TOP};

@@ -67,9 +67,9 @@ impl SpinBarrier {
 /// concurrently, with disjointness enforced by the caller instead of the
 /// borrow checker.
 ///
-/// The CG driver partitions each vector differently per phase (layer slabs
-/// for the stencil and updates, plane rows for the line-z preconditioner),
-/// so no single `split_at_mut` decomposition can serve the whole solve.
+/// The CG driver writes each vector in layer slabs in one phase and reads
+/// it whole in another (the stencil reads `p` across slab boundaries), so
+/// no single `split_at_mut` decomposition can serve the whole solve.
 /// Instead each phase derives exactly the sub-slices it needs and lets
 /// them die before the next barrier.
 ///

@@ -26,10 +26,9 @@
 //! on scoped threads ([`std::thread::scope`] — no dependencies) and drives
 //! them through the CG phases with a spin barrier (per-phase spawning
 //! costs more than a phase's arithmetic at these grid sizes). Work is
-//! partitioned into fixed contiguous layer slabs (plane rows for the
-//! line-z phases). Every reduction is accumulated into fixed per-layer
-//! (per-row) partials in index order and folded in layer (row) order on
-//! worker 0. The partition only decides *who* computes a partial, never
+//! partitioned into fixed contiguous layer slabs. Every reduction is
+//! accumulated into fixed per-row partials in index order and folded in
+//! row order on worker 0. The partition only decides *who* computes a partial, never
 //! how it is rounded, so results are **bit-identical for any thread
 //! count** — the same contract as the harness's parallel==serial test.
 
@@ -43,31 +42,6 @@ use crate::stack::{Boundary, LayerStack};
 /// Hard upper bound on [`SolverConfig::threads`], shared with the `SL043`
 /// lint pass.
 pub const MAX_SOLVER_THREADS: usize = 512;
-
-/// Preconditioner choice for the CG solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Preconditioner {
-    /// Diagonal (Jacobi) scaling — one multiply per cell per iteration.
-    #[default]
-    Jacobi,
-    /// Exact solve of each (i, j) cell column's vertical tridiagonal via a
-    /// precomputed Thomas factorisation. The vertical coupling `gz ≈ k·A/t`
-    /// dwarfs the lateral terms `gx, gy ≈ k·t·Δy/Δx` in a thin stack
-    /// (`t` is sub-millimetre while the cell area `A` spans the die), so
-    /// solving the z-direction exactly cuts CG iterations several-fold.
-    LineZ,
-}
-
-impl Preconditioner {
-    /// Stable lowercase label, used by digests, CLI output and bench files.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Preconditioner::Jacobi => "jacobi",
-            Preconditioner::LineZ => "line-z",
-        }
-    }
-}
 
 /// Solver parameters.
 ///
@@ -89,9 +63,6 @@ pub struct SolverConfig {
     /// execution knob: results are bit-identical for any value (see the
     /// module-level determinism contract), so digests must not include it.
     pub threads: usize,
-    /// Preconditioner choice. Changes the iteration path (and therefore
-    /// rounding), not the converged answer beyond the tolerance.
-    pub preconditioner: Preconditioner,
     /// Whether sweep drivers may warm-start consecutive solves from the
     /// previous field. Like `threads`, an execution knob within the
     /// solver tolerance; the resilience ladder's last rung clears it to
@@ -107,7 +78,6 @@ impl Default for SolverConfig {
             max_iters: 20_000,
             tolerance: 1e-10,
             threads: 1,
-            preconditioner: Preconditioner::Jacobi,
             warm_start: true,
         }
     }
@@ -213,13 +183,6 @@ impl SolverConfigBuilder {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.cfg.threads = threads;
-        self
-    }
-
-    /// Preconditioner choice.
-    #[must_use]
-    pub fn preconditioner(mut self, preconditioner: Preconditioner) -> Self {
-        self.cfg.preconditioner = preconditioner;
         self
     }
 
@@ -468,16 +431,16 @@ fn slab_bounds(total: usize, workers: usize) -> Vec<(usize, usize)> {
 }
 
 /// Worker count actually used for a solve: the configured thread count,
-/// clamped to the partitionable units (layers, plane rows) *and* to the
-/// hardware parallelism — CG phases are lockstep, so running more spinning
+/// clamped to the partitionable units (layers) *and* to the hardware
+/// parallelism — CG phases are lockstep, so running more spinning
 /// workers than cores only adds scheduler churn. The clamp never changes
 /// results (bit-identity across worker counts is the module's contract),
 /// only how many threads compute them.
-fn effective_workers(threads: usize, nl: usize, ny: usize) -> usize {
+fn effective_workers(threads: usize, nl: usize) -> usize {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
-    threads.min(nl).min(ny).min(cores).max(1)
+    threads.min(nl).min(cores).max(1)
 }
 
 /// In-place `r ← b − r` (where `r` holds `A·x` on entry) with per-row
@@ -497,31 +460,6 @@ fn residual_slab(b: &[f64], r: &mut [f64], ptb: &mut [f64], ptr2: &mut [f64], nx
         }
         ptb[ci] = dot_row(bc, bc);
         ptr2[ci] = dot_row(rc, rc);
-    }
-}
-
-/// Fused CG update: `x += α·p`, `r −= α·ap`, per-row `‖r‖²` partials.
-fn update_slab(
-    alpha: f64,
-    p: &[f64],
-    ap: &[f64],
-    x: &mut [f64],
-    r: &mut [f64],
-    pt: &mut [f64],
-    nx: usize,
-) {
-    for (ci, (((pc, apc), xc), rc)) in p
-        .chunks_exact(nx)
-        .zip(ap.chunks_exact(nx))
-        .zip(x.chunks_exact_mut(nx))
-        .zip(r.chunks_exact_mut(nx))
-        .enumerate()
-    {
-        for i in 0..nx {
-            xc[i] += alpha * pc[i];
-            rc[i] -= alpha * apc[i];
-        }
-        pt[ci] = dot_row(rc, rc);
     }
 }
 
@@ -599,29 +537,10 @@ fn jacobi_slab(
     }
 }
 
-/// Precomputed preconditioner factors for one `(system, shift)` pair.
-/// Both variants are [`row_cls`] class tables (`nl × 3` entries of three
-/// x-class values), not per-cell arrays: every cell of a neighbour-count
-/// class shares its diagonal, so it shares its factorisation too, and the
-/// tables stay resident in L1 while the per-cell arrays they replace cost
-/// a vector read per pass.
-enum Factors {
-    /// Reciprocal of the (shifted) diagonal — the hoisted `1/pre(u)`.
-    Jacobi { inv: Vec<[f64; 3]> },
-    /// Thomas factorisation of the vertical tridiagonal of each cell
-    /// class: `inv_w = 1/w_l` with `w_0 = d_0`,
-    /// `w_l = d_l − gz[l−1]²/w_{l−1}`, and `cp = gz[l]·inv_w` for the
-    /// back-substitution (`cp` is unused on the last layer).
-    LineZ {
-        inv_w: Vec<[f64; 3]>,
-        cp: Vec<[f64; 3]>,
-    },
-}
-
 /// Everything one CG worker needs, shared by copy. All slices alias
 /// buffers owned by [`System::cg_mt`]'s stack frame, which outlives the
 /// thread scope; disjointness of concurrent writes is guaranteed by the
-/// fixed slab/row partitions and the barrier discipline (see
+/// fixed layer-slab partition and the barrier discipline (see
 /// [`SharedSlice::range_mut`]).
 #[derive(Clone, Copy)]
 struct MtShared<'a> {
@@ -635,19 +554,16 @@ struct MtShared<'a> {
     /// Per-row partials at `l·ny + j`: `‖b‖²` at init, `p·ap` / `‖r‖²` in
     /// the loop.
     pt_a: SharedSlice<'a>,
-    /// Per-row partials at `l·ny + j`: `‖r‖²` at init, `r·z` in the Jacobi
-    /// loop.
+    /// Per-row partials at `l·ny + j`: `‖r‖²` at init, `r·z` in the loop.
     pt_b: SharedSlice<'a>,
-    /// Precondition partials: per `(row, layer)` at `j·nl + l` for line-z,
-    /// per row at `l·ny + j` for Jacobi.
+    /// Per-row `r·z` partials at `l·ny + j` of the initial precondition.
     pt_pre: SharedSlice<'a>,
     /// `[α, β]`, published by worker 0 between barriers.
     scal: SharedSlice<'a>,
-    fac: &'a Factors,
+    /// The Jacobi reciprocal class table (see [`System::jacobi_inv`]).
+    inv: &'a [[f64; 3]],
     /// Fixed layer slab `(l0, l1)` per worker.
     layer_bounds: &'a [(usize, usize)],
-    /// Fixed plane-row slab `(j0, j1)` per worker (line-z phases).
-    row_bounds: &'a [(usize, usize)],
     barrier: &'a SpinBarrier,
     /// 0 = keep iterating, 1 = converged. Checked by every worker only
     /// after barriers that *all* workers cross, so barrier counts stay
@@ -916,305 +832,37 @@ impl System {
         }
     }
 
-    /// Builds the preconditioner factors for one `shift` — class tables
-    /// mirroring [`System::dcls`], one factorisation per cell class.
-    fn factorize(&self, shift: f64) -> Factors {
-        match self.cfg.preconditioner {
-            Preconditioner::Jacobi => {
-                let inv = self
-                    .dcls
-                    .iter()
-                    .enumerate()
-                    .map(|(e, c)| {
-                        let extra = shift * self.mass[e / 3];
-                        [
-                            1.0 / (c[0] + extra),
-                            1.0 / (c[1] + extra),
-                            1.0 / (c[2] + extra),
-                        ]
-                    })
-                    .collect();
-                Factors::Jacobi { inv }
-            }
-            Preconditioner::LineZ => {
-                let mut inv_w = vec![[0.0f64; 3]; self.nl * 3];
-                let mut cp = vec![[0.0f64; 3]; self.nl * 3];
-                for yn in 0..3 {
-                    for xn in 0..3 {
-                        inv_w[yn][xn] = 1.0 / (self.dcls[yn][xn] + shift * self.mass[0]);
-                        for l in 1..self.nl {
-                            let g = self.gz[l - 1];
-                            let extra = shift * self.mass[l];
-                            let cprev = g * inv_w[(l - 1) * 3 + yn][xn];
-                            cp[(l - 1) * 3 + yn][xn] = cprev;
-                            inv_w[l * 3 + yn][xn] =
-                                1.0 / (self.dcls[l * 3 + yn][xn] + extra - g * cprev);
-                        }
-                    }
-                }
-                Factors::LineZ { inv_w, cp }
-            }
-        }
-    }
-
-    /// Serial precondition pass `z ← M⁻¹·r` over the whole grid. Returns
-    /// `r·z` folded from the partials in index order. `scratch` must hold
-    /// `n` elements for line-z (the forward-elimination buffer); Jacobi
-    /// ignores it.
-    ///
-    /// The line-z sweeps run whole contiguous planes per layer — the
-    /// per-element arithmetic and the per-row fold order are exactly those
-    /// of the row-partitioned [`System::linez_rows`] the threaded driver
-    /// uses, so both produce bit-identical results.
-    fn precondition_full(
-        &self,
-        fac: &Factors,
-        r: &[f64],
-        z: &mut [f64],
-        pt: &mut [f64],
-        scratch: &mut [f64],
-    ) -> f64 {
-        let nxy = self.nxy();
-        match fac {
-            Factors::Jacobi { inv } => jacobi_slab(inv, 0, self.ny, r, z, pt, self.nx),
-            Factors::LineZ { inv_w, cp } => {
-                let (nx, ny, nl) = (self.nx, self.ny, self.nl);
-                // forward: y_0 = r_0/w_0, y_l = (r_l + gz[l−1]·y_{l−1})/w_l
-                for j in 0..ny {
-                    let (iwe, iwm) = row_cls(inv_w, 0, j, ny, nx);
-                    let o = j * nx;
-                    scratch[o] = r[o] * iwe;
-                    for i in 1..nx.saturating_sub(1) {
-                        scratch[o + i] = r[o + i] * iwm;
-                    }
-                    if nx > 1 {
-                        scratch[o + nx - 1] = r[o + nx - 1] * iwe;
-                    }
-                }
-                for l in 1..nl {
-                    let g = self.gz[l - 1];
-                    let (prev, cur) = scratch.split_at_mut(l * nxy);
-                    let prev = &prev[(l - 1) * nxy..];
-                    let base = l * nxy;
-                    for j in 0..ny {
-                        let (iwe, iwm) = row_cls(inv_w, l, j, ny, nx);
-                        let o = j * nx;
-                        cur[o] = (r[base + o] + g * prev[o]) * iwe;
-                        for i in 1..nx.saturating_sub(1) {
-                            cur[o + i] = (r[base + o + i] + g * prev[o + i]) * iwm;
-                        }
-                        if nx > 1 {
-                            let e = o + nx - 1;
-                            cur[e] = (r[base + e] + g * prev[e]) * iwe;
-                        }
-                    }
-                }
-                // backward: z_{nl−1} = y_{nl−1}, z_l = y_l + cp_l·z_{l+1}
-                z[(nl - 1) * nxy..].copy_from_slice(&scratch[(nl - 1) * nxy..]);
-                for l in (0..nl - 1).rev() {
-                    let (lo, hi) = z.split_at_mut((l + 1) * nxy);
-                    let zu = &hi[..nxy];
-                    let zl = &mut lo[l * nxy..];
-                    let base = l * nxy;
-                    for j in 0..ny {
-                        let (cpe, cpm) = row_cls(cp, l, j, ny, nx);
-                        let o = j * nx;
-                        zl[o] = scratch[base + o] + cpe * zu[o];
-                        for i in 1..nx.saturating_sub(1) {
-                            zl[o + i] = scratch[base + o + i] + cpm * zu[o + i];
-                        }
-                        if nx > 1 {
-                            let e = o + nx - 1;
-                            zl[e] = scratch[base + e] + cpe * zu[e];
-                        }
-                    }
-                }
-                // r·z partials, one per (row, layer) at pt[j·nl + l] —
-                // the same lanes, in the same slots, as [`System::linez_rows`]
-                for j in 0..self.ny {
-                    for l in 0..nl {
-                        let g = l * nxy + j * nx;
-                        pt[j * nl + l] = dot_row(&r[g..g + nx], &z[g..g + nx]);
-                    }
-                }
-            }
-        }
-        pt.iter().sum()
-    }
-
-    /// Thomas forward/back substitution for the rows `j0..j1` of every
-    /// layer. `rows[l]` is that layer's `(j1−j0)·nx` mutable window of `z`;
-    /// `scratch` holds the `nl·nx` forward-elimination buffer; `pt` gets
-    /// one `r·z` partial per `(row, layer)` pair at `pt[jj·nl + l]`.
-    #[allow(clippy::too_many_arguments)]
-    fn linez_rows(
-        &self,
-        inv_w: &[[f64; 3]],
-        cp: &[[f64; 3]],
-        r: &[f64],
-        rows: &mut [&mut [f64]],
-        j0: usize,
-        j1: usize,
-        pt: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        let (nx, ny, nl) = (self.nx, self.ny, self.nl);
-        let nxy = self.nxy();
-        for j in j0..j1 {
-            let jj = j - j0;
-            // forward: y_0 = r_0/w_0, y_l = (r_l + gz[l−1]·y_{l−1})/w_l
-            let g0 = j * nx;
-            let (iwe, iwm) = row_cls(inv_w, 0, j, ny, nx);
-            scratch[0] = r[g0] * iwe;
-            for i in 1..nx.saturating_sub(1) {
-                scratch[i] = r[g0 + i] * iwm;
-            }
-            if nx > 1 {
-                scratch[nx - 1] = r[g0 + nx - 1] * iwe;
-            }
-            for l in 1..nl {
-                let g = l * nxy + j * nx;
-                let gzc = self.gz[l - 1];
-                let (iwe, iwm) = row_cls(inv_w, l, j, ny, nx);
-                let (prev, cur) = scratch.split_at_mut(l * nx);
-                let prev = &prev[(l - 1) * nx..];
-                cur[0] = (r[g] + gzc * prev[0]) * iwe;
-                for i in 1..nx.saturating_sub(1) {
-                    cur[i] = (r[g + i] + gzc * prev[i]) * iwm;
-                }
-                if nx > 1 {
-                    cur[nx - 1] = (r[g + nx - 1] + gzc * prev[nx - 1]) * iwe;
-                }
-            }
-            // backward: z_{nl−1} = y_{nl−1}, z_l = y_l + cp_l·z_{l+1}
-            rows[nl - 1][jj * nx..(jj + 1) * nx].copy_from_slice(&scratch[(nl - 1) * nx..nl * nx]);
-            for l in (0..nl.saturating_sub(1)).rev() {
-                let (lo, hi) = rows.split_at_mut(l + 1);
-                let zu = &hi[0][jj * nx..(jj + 1) * nx];
-                let zl = &mut lo[l][jj * nx..(jj + 1) * nx];
-                let (cpe, cpm) = row_cls(cp, l, j, ny, nx);
-                zl[0] = scratch[l * nx] + cpe * zu[0];
-                for i in 1..nx.saturating_sub(1) {
-                    zl[i] = scratch[l * nx + i] + cpm * zu[i];
-                }
-                if nx > 1 {
-                    zl[nx - 1] = scratch[l * nx + nx - 1] + cpe * zu[nx - 1];
-                }
-            }
-            // r·z partials for this row, one per (row, layer)
-            for (l, row) in rows.iter().enumerate() {
-                let zr = &row[jj * nx..(jj + 1) * nx];
-                let g = l * nxy + j * nx;
-                pt[jj * nl + l] = dot_row(&r[g..g + nx], zr);
-            }
-        }
-    }
-
-    /// Serial line-z iteration tail, fully fused: per layer, the CG update
-    /// (`x += αp`, `r −= αap`, per-row `‖r‖²` partials into `pt_r2`)
-    /// immediately feeds the Thomas forward elimination while the fresh
-    /// residual is still in cache; the back-substitution then writes `z`
-    /// and folds the per-`(row, layer)` `r·z` partials into `pt_rz` in the
-    /// same pass. Every chain and partial slot matches the threaded
-    /// driver's unfused update + [`System::linez_rows`] phases, so the
-    /// results are bit-identical.
-    #[allow(clippy::too_many_arguments)]
-    fn linez_cycle(
-        &self,
-        alpha: f64,
-        p: &[f64],
-        ap: &[f64],
-        inv_w: &[[f64; 3]],
-        cp: &[[f64; 3]],
-        x: &mut [f64],
-        r: &mut [f64],
-        z: &mut [f64],
-        pt_r2: &mut [f64],
-        pt_rz: &mut [f64],
-        scratch: &mut [f64],
-    ) {
-        let (nx, ny, nl) = (self.nx, self.ny, self.nl);
-        let nxy = self.nxy();
-        // CG update + forward elimination, layer by layer
-        for l in 0..nl {
-            let base = l * nxy;
-            update_slab(
-                alpha,
-                &p[base..base + nxy],
-                &ap[base..base + nxy],
-                &mut x[base..base + nxy],
-                &mut r[base..base + nxy],
-                &mut pt_r2[l * ny..(l + 1) * ny],
-                nx,
-            );
-            if l == 0 {
-                for j in 0..ny {
-                    let (iwe, iwm) = row_cls(inv_w, 0, j, ny, nx);
-                    let o = j * nx;
-                    scratch[o] = r[o] * iwe;
-                    for i in 1..nx.saturating_sub(1) {
-                        scratch[o + i] = r[o + i] * iwm;
-                    }
-                    if nx > 1 {
-                        scratch[o + nx - 1] = r[o + nx - 1] * iwe;
-                    }
-                }
-            } else {
-                let g = self.gz[l - 1];
-                let (prev, cur) = scratch.split_at_mut(base);
-                let prev = &prev[base - nxy..];
-                for j in 0..ny {
-                    let (iwe, iwm) = row_cls(inv_w, l, j, ny, nx);
-                    let o = j * nx;
-                    cur[o] = (r[base + o] + g * prev[o]) * iwe;
-                    for i in 1..nx.saturating_sub(1) {
-                        cur[o + i] = (r[base + o + i] + g * prev[o + i]) * iwm;
-                    }
-                    if nx > 1 {
-                        let e = o + nx - 1;
-                        cur[e] = (r[base + e] + g * prev[e]) * iwe;
-                    }
-                }
-            }
-        }
-        // back substitution fused with the r·z fold
-        let top = (nl - 1) * nxy;
-        z[top..].copy_from_slice(&scratch[top..]);
-        for j in 0..ny {
-            let g = top + j * nx;
-            pt_rz[j * nl + (nl - 1)] = dot_row(&r[g..g + nx], &z[g..g + nx]);
-        }
-        for l in (0..nl - 1).rev() {
-            let base = l * nxy;
-            let (zlo, zhi) = z.split_at_mut(base + nxy);
-            let zl = &mut zlo[base..];
-            let zu = &zhi[..nxy];
-            for j in 0..ny {
-                let (cpe, cpm) = row_cls(cp, l, j, ny, nx);
-                let o = j * nx;
-                zl[o] = scratch[base + o] + cpe * zu[o];
-                for i in 1..nx.saturating_sub(1) {
-                    zl[o + i] = scratch[base + o + i] + cpm * zu[o + i];
-                }
-                if nx > 1 {
-                    let e = o + nx - 1;
-                    zl[e] = scratch[base + e] + cpe * zu[e];
-                }
-                pt_rz[j * nl + l] = dot_row(&r[base + o..base + o + nx], &zl[o..o + nx]);
-            }
-        }
+    /// The Jacobi preconditioner for one `shift`: reciprocals of the
+    /// shifted diagonal as a class table mirroring [`System::dcls`] — the
+    /// hoisted `1/pre(u)`. Every cell of a neighbour-count class shares
+    /// its diagonal, so the table stays resident in L1 where a per-cell
+    /// array would cost a vector read per pass.
+    fn jacobi_inv(&self, shift: f64) -> Vec<[f64; 3]> {
+        self.dcls
+            .iter()
+            .enumerate()
+            .map(|(e, c)| {
+                let extra = shift * self.mass[e / 3];
+                [
+                    1.0 / (c[0] + extra),
+                    1.0 / (c[1] + extra),
+                    1.0 / (c[2] + extra),
+                ]
+            })
+            .collect()
     }
 
     /// Preconditioned CG for `(A + shift·M) x = b`, warm-started at `x`.
     /// On success also returns the iteration count and final relative
     /// residual. The residual norm is carried over from the fused update
-    /// pass — never recomputed — and the preconditioner divisions are
-    /// hoisted into the precomputed [`Factors`]. Dispatches to the
+    /// pass — never recomputed — and the Jacobi divisions are hoisted
+    /// into the precomputed [`System::jacobi_inv`] table. Dispatches to the
     /// persistent-worker driver when more than one thread is useful; both
     /// drivers produce bit-identical results (see the module docs).
     fn cg(&self, shift: f64, b: &[f64], x: Vec<f64>) -> Result<(Vec<f64>, SolveStats), SolveError> {
         if stacksim_faults::armed() {
-            match stacksim_faults::check(crate::faults::SITE_CG, self.cfg.preconditioner.label()) {
+            // Keyed "jacobi", the one preconditioner; fault plans match on it.
+            match stacksim_faults::check(crate::faults::SITE_CG, "jacobi") {
                 Some(stacksim_faults::Fault::NoConvergence) => {
                     return Err(SolveError::NoConvergence {
                         iters: 0,
@@ -1227,22 +875,22 @@ impl System {
                 _ => {}
             }
         }
-        let fac = self.factorize(shift);
-        let workers = effective_workers(self.cfg.threads, self.nl, self.ny);
+        let inv = self.jacobi_inv(shift);
+        let workers = effective_workers(self.cfg.threads, self.nl);
         if !stacksim_obs::enabled() {
             return if workers > 1 {
-                self.cg_mt(shift, b, x, &fac, workers)
+                self.cg_mt(shift, b, x, &inv, workers)
             } else {
-                self.cg_serial(shift, b, x, &fac)
+                self.cg_serial(shift, b, x, &inv)
             };
         }
         // Observability wrapper: pure timing and counter updates around
         // the unchanged numeric path — results stay bit-identical.
         let t0 = std::time::Instant::now();
         let result = if workers > 1 {
-            self.cg_mt(shift, b, x, &fac, workers)
+            self.cg_mt(shift, b, x, &inv, workers)
         } else {
-            self.cg_serial(shift, b, x, &fac)
+            self.cg_serial(shift, b, x, &inv)
         };
         let wall_us = t0.elapsed().as_micros() as u64;
         stacksim_obs::counter(crate::obs::CG_SOLVE_US).add(wall_us);
@@ -1265,23 +913,20 @@ impl System {
     }
 
     /// The single-threaded CG driver: straight-line calls into the slab
-    /// kernels, folding each reduction's per-layer (per-row) partials in
-    /// index order.
+    /// kernels, folding each reduction's per-row partials in index order.
     fn cg_serial(
         &self,
         shift: f64,
         b: &[f64],
         mut x: Vec<f64>,
-        fac: &Factors,
+        inv: &[[f64; 3]],
     ) -> Result<(Vec<f64>, SolveStats), SolveError> {
         let n = x.len();
-        let nx = self.nx;
-        let linez = matches!(fac, Factors::LineZ { .. });
-        let rows = self.nl * self.ny;
+        let (nx, ny) = (self.nx, self.ny);
+        let rows = self.nl * ny;
         let mut pt_a = vec![0.0f64; rows];
         let mut pt_b = vec![0.0f64; rows];
         let mut pt_pre = vec![0.0f64; rows];
-        let mut scratch = vec![0.0f64; if linez { n } else { 0 }];
 
         // Observability: phase wall clocks plus the relative-residual
         // trajectory (sampled at power-of-two iterations), all inert and
@@ -1298,7 +943,8 @@ impl System {
         clock.lap(crate::obs::PH_APPLY);
 
         let mut z = vec![0.0f64; n];
-        let mut rz = self.precondition_full(fac, &r, &mut z, &mut pt_pre, &mut scratch);
+        jacobi_slab(inv, 0, ny, &r, &mut z, &mut pt_pre, nx);
+        let mut rz: f64 = pt_pre.iter().sum();
         let mut p = z.clone();
         let mut ap = vec![0.0f64; n];
         clock.lap(crate::obs::PH_PRECOND);
@@ -1324,33 +970,11 @@ impl System {
             let pap: f64 = pt_a.iter().sum();
             let alpha = rz / pap;
             clock.lap(crate::obs::PH_REDUCE);
-            let rz_new = match fac {
-                Factors::Jacobi { inv } => {
-                    update_jacobi_slab(
-                        alpha, &p, &ap, inv, 0, self.ny, &mut x, &mut r, &mut z, &mut pt_a,
-                        &mut pt_b, nx,
-                    );
-                    rnorm2 = pt_a.iter().sum();
-                    pt_b.iter().sum()
-                }
-                Factors::LineZ { inv_w, cp } => {
-                    self.linez_cycle(
-                        alpha,
-                        &p,
-                        &ap,
-                        inv_w,
-                        cp,
-                        &mut x,
-                        &mut r,
-                        &mut z,
-                        &mut pt_a,
-                        &mut pt_pre,
-                        &mut scratch,
-                    );
-                    rnorm2 = pt_a.iter().sum();
-                    pt_pre.iter().sum()
-                }
-            };
+            update_jacobi_slab(
+                alpha, &p, &ap, inv, 0, ny, &mut x, &mut r, &mut z, &mut pt_a, &mut pt_b, nx,
+            );
+            rnorm2 = pt_a.iter().sum();
+            let rz_new: f64 = pt_b.iter().sum();
             clock.lap(crate::obs::PH_UPDATE);
             let beta = rz_new / rz;
             rz = rz_new;
@@ -1395,7 +1019,7 @@ impl System {
         shift: f64,
         b: &[f64],
         mut x: Vec<f64>,
-        fac: &Factors,
+        inv: &[[f64; 3]],
         workers: usize,
     ) -> Result<(Vec<f64>, SolveStats), SolveError> {
         let n = x.len();
@@ -1410,7 +1034,6 @@ impl System {
         let mut pt_pre = vec![0.0f64; rows];
         let mut scal = [0.0f64; 2];
         let layer_bounds = slab_bounds(nl, workers);
-        let row_bounds = slab_bounds(ny, workers);
         let barrier = SpinBarrier::new(workers);
         let stop = AtomicUsize::new(0);
 
@@ -1426,9 +1049,8 @@ impl System {
             pt_b: SharedSlice::new(&mut pt_b),
             pt_pre: SharedSlice::new(&mut pt_pre),
             scal: SharedSlice::new(&mut scal),
-            fac,
+            inv,
             layer_bounds: &layer_bounds,
-            row_bounds: &row_bounds,
             barrier: &barrier,
             stop: &stop,
         };
@@ -1465,9 +1087,9 @@ impl System {
     ///
     /// Every `unsafe` block below follows the [`SharedSlice`] contract: the
     /// ranges derived between two consecutive barrier crossings are
-    /// pairwise disjoint across workers (fixed layer slabs, or fixed plane
-    /// rows for the line-z phases), shared reads never overlap a concurrent
-    /// mutable range, and every derived slice dies before the next barrier.
+    /// pairwise disjoint across workers (fixed layer slabs), shared reads
+    /// never overlap a concurrent mutable range, and every derived slice
+    /// dies before the next barrier.
     fn cg_mt_worker(&self, w: usize, c: MtShared<'_>) -> (bool, usize, f64) {
         let nxy = self.nxy();
         let (nx, ny) = (self.nx, self.ny);
@@ -1476,12 +1098,6 @@ impl System {
         // This worker's slice of the per-row partial arrays (layer-slab
         // phases are partitioned by layer, so their rows are contiguous).
         let (ra, re) = (l0 * ny, l1 * ny);
-        let linez = matches!(c.fac, Factors::LineZ { .. });
-        let mut scratch = if linez {
-            vec![0.0f64; self.nl * self.nx]
-        } else {
-            Vec::new()
-        };
 
         // Worker-0 solve-lifetime state (dead weight on the others).
         let (mut bnorm, mut rnorm2, mut rz) = (0.0f64, 0.0f64, 0.0f64);
@@ -1509,7 +1125,19 @@ impl System {
         }
         c.barrier.wait();
         clock.lap(crate::obs::PH_APPLY);
-        self.precondition_mt(w, &c, &mut scratch);
+        // SAFETY: layer slabs are pairwise disjoint; `r` is only read this
+        // phase.
+        unsafe {
+            jacobi_slab(
+                c.inv,
+                l0,
+                ny,
+                c.r.range(a, e),
+                c.z.range_mut(a, e),
+                c.pt_pre.range_mut(ra, re),
+                nx,
+            );
+        }
         c.barrier.wait();
         clock.lap(crate::obs::PH_PRECOND);
         if w == 0 {
@@ -1558,52 +1186,28 @@ impl System {
             c.barrier.wait();
             clock.lap(crate::obs::PH_REDUCE);
             let alpha = unsafe { c.scal.range(0, 2)[0] };
-            match c.fac {
-                Factors::Jacobi { inv } => unsafe {
-                    update_jacobi_slab(
-                        alpha,
-                        c.p.range(a, e),
-                        c.ap.range(a, e),
-                        inv,
-                        l0,
-                        ny,
-                        c.x.range_mut(a, e),
-                        c.r.range_mut(a, e),
-                        c.z.range_mut(a, e),
-                        c.pt_a.range_mut(ra, re),
-                        c.pt_b.range_mut(ra, re),
-                        nx,
-                    );
-                },
-                Factors::LineZ { inv_w, cp } => {
-                    unsafe {
-                        update_slab(
-                            alpha,
-                            c.p.range(a, e),
-                            c.ap.range(a, e),
-                            c.x.range_mut(a, e),
-                            c.r.range_mut(a, e),
-                            c.pt_a.range_mut(ra, re),
-                            nx,
-                        );
-                    }
-                    // The line-z solve reads whole residual columns, so it
-                    // repartitions by plane rows behind a barrier.
-                    c.barrier.wait();
-                    let (j0, j1) = c.row_bounds[w];
-                    self.linez_mt(&c, inv_w, cp, j0, j1, &mut scratch);
-                }
+            unsafe {
+                update_jacobi_slab(
+                    alpha,
+                    c.p.range(a, e),
+                    c.ap.range(a, e),
+                    c.inv,
+                    l0,
+                    ny,
+                    c.x.range_mut(a, e),
+                    c.r.range_mut(a, e),
+                    c.z.range_mut(a, e),
+                    c.pt_a.range_mut(ra, re),
+                    c.pt_b.range_mut(ra, re),
+                    nx,
+                );
             }
             c.barrier.wait();
             clock.lap(crate::obs::PH_UPDATE);
             if w == 0 {
                 unsafe {
                     rnorm2 = c.pt_a.whole().iter().sum();
-                    let rz_new: f64 = if linez {
-                        c.pt_pre.whole().iter().sum()
-                    } else {
-                        c.pt_b.whole().iter().sum()
-                    };
+                    let rz_new: f64 = c.pt_b.whole().iter().sum();
                     c.scal.range_mut(0, 2)[1] = rz_new / rz;
                     rz = rz_new;
                 }
@@ -1636,69 +1240,6 @@ impl System {
             outcome = (false, self.cfg.max_iters, rnorm2.sqrt() / bnorm);
         }
         outcome
-    }
-
-    /// One worker's share of the precondition pass `z ← M⁻¹·r`: its layer
-    /// slab for Jacobi, its plane rows for line-z.
-    fn precondition_mt(&self, w: usize, c: &MtShared<'_>, scratch: &mut [f64]) {
-        let nxy = self.nxy();
-        match c.fac {
-            Factors::Jacobi { inv } => {
-                let (l0, l1) = c.layer_bounds[w];
-                let (a, e) = (l0 * nxy, l1 * nxy);
-                // SAFETY: layer slabs are pairwise disjoint; `r` is only
-                // read this phase.
-                unsafe {
-                    jacobi_slab(
-                        inv,
-                        l0,
-                        self.ny,
-                        c.r.range(a, e),
-                        c.z.range_mut(a, e),
-                        c.pt_pre.range_mut(l0 * self.ny, l1 * self.ny),
-                        self.nx,
-                    );
-                }
-            }
-            Factors::LineZ { inv_w, cp } => {
-                let (j0, j1) = c.row_bounds[w];
-                self.linez_mt(c, inv_w, cp, j0, j1, scratch);
-            }
-        }
-    }
-
-    /// One worker's line-z precondition share: whole vertical columns for
-    /// plane rows `j0..j1` of every layer, with per-`(row, layer)` `r·z`
-    /// partials.
-    fn linez_mt(
-        &self,
-        c: &MtShared<'_>,
-        inv_w: &[[f64; 3]],
-        cp: &[[f64; 3]],
-        j0: usize,
-        j1: usize,
-        scratch: &mut [f64],
-    ) {
-        let nx = self.nx;
-        let nxy = self.nxy();
-        // SAFETY: each worker's row windows are disjoint from every other
-        // worker's in every layer; `r` is only read this phase.
-        unsafe {
-            let r = c.r.whole();
-            let mut rows: Vec<&mut [f64]> = (0..self.nl)
-                .map(|l| c.z.range_mut(l * nxy + j0 * nx, l * nxy + j1 * nx))
-                .collect();
-            self.linez_rows(
-                inv_w,
-                cp,
-                r,
-                &mut rows,
-                j0,
-                j1,
-                c.pt_pre.range_mut(j0 * self.nl, j1 * self.nl),
-                scratch,
-            );
-        }
     }
 
     fn field(&self, t: Vec<f64>) -> TemperatureField {
@@ -1848,9 +1389,8 @@ pub fn solve_transient(
 /// as the benchmark baseline (`stacksim bench` reports speedups against
 /// it). Branchy per-cell stencil, unfused CG vector passes, per-iteration
 /// preconditioner divisions, residual norm recomputed every iteration,
-/// always cold-started, always single-threaded, always Jacobi —
-/// [`SolverConfig::threads`] and [`SolverConfig::preconditioner`] are
-/// ignored here. Do not optimise this module; its whole value is standing
+/// always cold-started, always single-threaded —
+/// [`SolverConfig::threads`] is ignored here. Do not optimise this module; its whole value is standing
 /// still.
 pub mod reference {
     use super::*;
@@ -1987,7 +1527,6 @@ mod tests {
         let cfg = SolverConfig::builder().nx(8).ny(8).build();
         assert_eq!((cfg.nx, cfg.ny), (8, 8));
         assert_eq!(cfg.threads, 1);
-        assert_eq!(cfg.preconditioner, Preconditioner::Jacobi);
     }
 
     #[test]
@@ -2194,7 +1733,7 @@ mod tests {
     }
 
     /// A five-layer stack with an off-centre hotspot — enough structure to
-    /// exercise every peeled boundary and both preconditioners.
+    /// exercise every peeled boundary.
     fn layered_stack() -> (LayerStack, Boundary) {
         let mut g = PowerGrid::zero(8, 7, 10.0, 10.0);
         g.add(1, 1, 10.0);
@@ -2214,32 +1753,19 @@ mod tests {
     }
 
     /// The determinism contract: any thread count returns byte-identical
-    /// fields, for both preconditioners.
+    /// fields.
     #[test]
     fn thread_count_never_changes_a_bit() {
         let (stack, bc) = layered_stack();
-        for pre in [Preconditioner::Jacobi, Preconditioner::LineZ] {
-            let run = |threads: usize| {
-                let cfg = SolverConfig::builder()
-                    .nx(8)
-                    .ny(7)
-                    .threads(threads)
-                    .preconditioner(pre)
-                    .build();
-                solve(&stack, bc, cfg).unwrap()
-            };
-            let bits = |f: &TemperatureField| -> Vec<u64> {
-                f.cells().iter().map(|v| v.to_bits()).collect()
-            };
-            let one = run(1);
-            for threads in [2, 8] {
-                assert_eq!(
-                    bits(&one),
-                    bits(&run(threads)),
-                    "{} with {threads} threads drifted",
-                    pre.label()
-                );
-            }
+        let run = |threads: usize| {
+            let cfg = SolverConfig::builder().nx(8).ny(7).threads(threads).build();
+            solve(&stack, bc, cfg).unwrap()
+        };
+        let bits =
+            |f: &TemperatureField| -> Vec<u64> { f.cells().iter().map(|v| v.to_bits()).collect() };
+        let one = run(1);
+        for threads in [2, 8] {
+            assert_eq!(bits(&one), bits(&run(threads)), "{threads} threads drifted");
         }
     }
 
@@ -2251,62 +1777,20 @@ mod tests {
     #[test]
     fn forced_worker_counts_match_serial_bit_for_bit() {
         let (stack, bc) = layered_stack();
-        for pre in [Preconditioner::Jacobi, Preconditioner::LineZ] {
-            let cfg = SolverConfig::builder()
-                .nx(8)
-                .ny(7)
-                .preconditioner(pre)
-                .build();
-            let sys = System::assemble(&stack, bc, cfg).unwrap();
-            let fac = sys.factorize(0.0);
-            let x0 = vec![bc.ambient; sys.rhs.len()];
-            let (serial, sstats) = sys.cg_serial(0.0, &sys.rhs, x0.clone(), &fac).unwrap();
-            let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-            for workers in [2, 3, 5] {
-                let (mt, mstats) = sys.cg_mt(0.0, &sys.rhs, x0.clone(), &fac, workers).unwrap();
-                assert_eq!(
-                    sstats.iterations,
-                    mstats.iterations,
-                    "{} with {workers} forced workers changed the iteration count",
-                    pre.label()
-                );
-                assert_eq!(
-                    bits(&serial),
-                    bits(&mt),
-                    "{} with {workers} forced workers drifted",
-                    pre.label()
-                );
-            }
+        let cfg = SolverConfig::builder().nx(8).ny(7).build();
+        let sys = System::assemble(&stack, bc, cfg).unwrap();
+        let inv = sys.jacobi_inv(0.0);
+        let x0 = vec![bc.ambient; sys.rhs.len()];
+        let (serial, sstats) = sys.cg_serial(0.0, &sys.rhs, x0.clone(), &inv).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for workers in [2, 3, 5] {
+            let (mt, mstats) = sys.cg_mt(0.0, &sys.rhs, x0.clone(), &inv, workers).unwrap();
+            assert_eq!(
+                sstats.iterations, mstats.iterations,
+                "{workers} forced workers changed the iteration count"
+            );
+            assert_eq!(bits(&serial), bits(&mt), "{workers} forced workers drifted");
         }
-    }
-
-    /// Line-z reaches the same answer as Jacobi in strictly fewer
-    /// iterations — the vertical coupling dominates in a thin stack.
-    #[test]
-    fn linez_agrees_with_jacobi_and_cuts_iterations() {
-        let (stack, bc) = layered_stack();
-        let run = |pre: Preconditioner| {
-            let cfg = SolverConfig::builder()
-                .nx(8)
-                .ny(7)
-                .preconditioner(pre)
-                .build();
-            solve_with_stats(&stack, bc, cfg).unwrap()
-        };
-        let jacobi = run(Preconditioner::Jacobi);
-        let linez = run(Preconditioner::LineZ);
-        assert!(
-            (jacobi.field.peak() - linez.field.peak()).abs() < 1e-6,
-            "peaks disagree: {} vs {}",
-            jacobi.field.peak(),
-            linez.field.peak()
-        );
-        assert!(
-            linez.stats.iterations < jacobi.stats.iterations,
-            "line-z took {} iterations, jacobi {}",
-            linez.stats.iterations,
-            jacobi.stats.iterations
-        );
     }
 
     /// Warm-starting from the converged solution is (nearly) free, and the

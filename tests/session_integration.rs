@@ -49,6 +49,23 @@ fn identical_inflight_requests_run_exactly_once() {
     assert_eq!(sim.stats().completed, 1);
 }
 
+/// A request is counted as completed before its handle wakes, so the
+/// caller returning from `wait()` always sees its own request in
+/// `stats()`. Repeated because a late count only shows up when the
+/// waiter outruns the scheduler thread.
+#[test]
+fn completed_counts_a_request_before_its_waiter_wakes() {
+    let sim = Sim::builder().params(WorkloadParams::test()).build();
+    for seed in 0..30u64 {
+        let outcome = sim
+            .submit(&ExperimentRequest::new("fig5:gauss").seed(seed))
+            .unwrap()
+            .wait();
+        assert!(outcome.is_ok(), "{:?}", outcome.report.error);
+        assert_eq!(sim.stats().completed, seed + 1, "after request {seed}");
+    }
+}
+
 /// Parameterised variants are first-class: an override folds into the
 /// digest, so variants neither deduplicate nor share cache entries.
 #[test]
