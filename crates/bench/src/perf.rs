@@ -17,9 +17,12 @@
 //!   observability disabled (the shipping default) and enabled, and the
 //!   artefact records the enabled/disabled wall-time ratio as
 //!   `obs_overhead` — the live cost of the metrics layer (DESIGN.md §10).
-//!   A `streamed` leg times the generate-while-simulate pipeline (kernels
-//!   feeding the engine through bounded block channels, DESIGN.md §14) and
-//!   `pipeline_speedup` compares it against serial generation + simulation.
+//!   A `streamed` leg times the production Fig. 5 point,
+//!   [`run_benchmark_instrumented`] — kernels feeding all four stack
+//!   options through bounded block channels in one windowed pass
+//!   (DESIGN.md §14) — and a `batch` leg times the materialised reference
+//!   it replaced: `generate` then `run_warmed` once per option.
+//!   `pipeline_speedup` is batch over streamed.
 //!
 //! Both files are re-parsed after writing, so a malformed artefact fails
 //! the run — CI's bench-smoke job relies on that.
@@ -27,8 +30,9 @@
 use std::path::{Path, PathBuf};
 
 use stacksim_core::harness::json::Json;
+use stacksim_core::memory_logic::{run_benchmark_instrumented, WARMUP_FRACTION};
 use stacksim_core::sensitivity::{fig3_cold_with, fig3_reference, fig3_stack, fig3_with};
-use stacksim_core::Fig3Data;
+use stacksim_core::{Fig3Data, StackOption};
 use stacksim_mem::{Engine, EngineConfig, HierarchyConfig, MemoryHierarchy};
 use stacksim_thermal::{SolveStats, SolverConfig};
 use stacksim_workloads::{RmsBenchmark, WorkloadParams};
@@ -59,9 +63,6 @@ impl Default for BenchOptions {
 
 /// Timed samples per benchmark in a full (non-quick) run.
 pub const SAMPLES: usize = 5;
-
-/// Records per block in the streamed generate-while-simulate leg.
-const STREAM_BLOCK_LEN: usize = 4096;
 
 /// Runs both benchmark suites and writes the two JSON artefacts.
 /// Returns the paths written, thermal first.
@@ -223,10 +224,10 @@ fn peak_disagreement(a: &Fig3Data, b: &Fig3Data) -> f64 {
         .fold(0.0, f64::max)
 }
 
-/// Times gauss trace generation and hierarchy simulation and builds the
-/// artefact.
+/// Times gauss trace generation, hierarchy simulation on the 32 MB option
+/// and the whole four-option Fig. 5 point, and builds the artefact.
 fn bench_mem(opts: &BenchOptions, samples: usize) -> Json {
-    group("mem: gauss trace + 32MB stacked-DRAM hierarchy");
+    group("mem: gauss trace, 32MB stacked-DRAM hierarchy, fig5 point");
     let params = if opts.quick {
         WorkloadParams::test()
     } else {
@@ -255,17 +256,25 @@ fn bench_mem(opts: &BenchOptions, samples: usize) -> Json {
         e.run(&trace)
     });
 
-    // Generate-while-simulate: kernels stream packed blocks through
-    // bounded channels while the engine consumes them, so one wall-clock
-    // interval covers both generation and simulation (DESIGN.md §14).
-    let streamed_sample = bench_n("streamed_pipeline/gauss_32mb", samples, || {
-        let stream = benchmark.stream(&params, STREAM_BLOCK_LEN);
-        let window = stream.dep_window();
-        let mut e = Engine::new(proto.clone(), EngineConfig::default());
-        e.run_blocks(stream, window)
+    // One Fig. 5 point both ways: the production streamed pass, and the
+    // materialised trace replayed once per option. `records` counts the
+    // trace once, so their records/s is trace records per point.
+    let streamed_sample = bench_n("fig5_point/gauss_streamed", samples, || {
+        run_benchmark_instrumented(benchmark, &params).map(|(row, _)| row)
+    });
+    let batch_sample = bench_n("fig5_point/gauss_batch", samples, || {
+        let trace = benchmark.generate(&params);
+        StackOption::all()
+            .into_iter()
+            .map(|option| {
+                let hierarchy = MemoryHierarchy::new(option.hierarchy())?;
+                let mut e = Engine::new(hierarchy, EngineConfig::default());
+                Ok(e.run_warmed(&trace, WARMUP_FRACTION))
+            })
+            .collect::<Result<Vec<_>, stacksim_mem::ConfigError>>()
     });
 
-    // The same leg with live metrics: counters resolve and count, no
+    // The engine leg again with live metrics: counters resolve and count, no
     // event sink. The ratio against the disabled leg is the price of
     // turning observability on; disabled, the instruments cost one
     // relaxed atomic load per call site.
@@ -282,13 +291,13 @@ fn bench_mem(opts: &BenchOptions, samples: usize) -> Json {
         0.0
     };
     println!("obs overhead: {obs_overhead:.3}x (enabled vs disabled engine leg)");
-    // what overlap buys: serial generate-then-simulate vs the pipeline
+    // what the streamed pass buys over materialise-then-replay
     let pipeline_speedup = if streamed_sample.median_s > 0.0 {
-        (gen_sample.median_s + engine_sample.median_s) / streamed_sample.median_s
+        batch_sample.median_s / streamed_sample.median_s
     } else {
         0.0
     };
-    println!("pipeline speedup: {pipeline_speedup:.2}x (serial gen+sim vs streamed)");
+    println!("pipeline speedup: {pipeline_speedup:.2}x (batch fig5 point vs streamed)");
 
     let per_sec = |s: Sample| {
         if s.median_s > 0.0 {
@@ -335,7 +344,13 @@ fn bench_mem(opts: &BenchOptions, samples: usize) -> Json {
                     Json::Num((streamed_sample.median_s * 1e9).round()),
                 ),
                 ("records_per_sec", Json::Num(per_sec(streamed_sample))),
-                ("block_len", Json::Num(STREAM_BLOCK_LEN as f64)),
+            ]),
+        ),
+        (
+            "batch",
+            Json::obj(vec![
+                ("wall_ns", Json::Num((batch_sample.median_s * 1e9).round())),
+                ("records_per_sec", Json::Num(per_sec(batch_sample))),
             ]),
         ),
         ("pipeline_speedup", Json::Num(pipeline_speedup)),
@@ -395,6 +410,7 @@ mod tests {
             "engine",
             "engine_obs",
             "streamed",
+            "batch",
             "pipeline_speedup",
             "obs_overhead",
             "records",
@@ -402,10 +418,12 @@ mod tests {
             assert!(mem.get(key).is_some(), "BENCH_mem.json lacks {key}");
         }
         assert!(mem.get("obs_overhead").unwrap().as_f64().unwrap() > 0.0);
-        let streamed = mem.get("streamed").unwrap();
-        assert!(
-            streamed.get("records_per_sec").unwrap().as_f64().unwrap() > 0.0,
-            "streamed leg must process records"
-        );
+        for leg in ["streamed", "batch"] {
+            let rate = mem.get(leg).and_then(|l| l.get("records_per_sec"));
+            assert!(
+                rate.and_then(Json::as_f64).unwrap() > 0.0,
+                "{leg} leg must process records"
+            );
+        }
     }
 }

@@ -206,16 +206,23 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// The JSON document written by `stacksim run --report`.
+    /// The JSON document written by `stacksim run --report`. It carries
+    /// the process's peak resident set so far as `peak_rss_mb` where the
+    /// platform reports one (omitted elsewhere) — a fact about this
+    /// process, never part of an artifact or digest.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
+        let mut fields = vec![
             ("jobs", Json::Num(self.jobs as f64)),
             ("wall_s", Json::Num(self.wall_s)),
-            (
-                "experiments",
-                Json::Arr(self.entries.iter().map(ExperimentReport::to_json).collect()),
-            ),
-        ])
+        ];
+        if let Some(mb) = peak_rss_mb() {
+            fields.push(("peak_rss_mb", Json::Num(mb)));
+        }
+        fields.push((
+            "experiments",
+            Json::Arr(self.entries.iter().map(ExperimentReport::to_json).collect()),
+        ));
+        Json::obj(fields)
     }
 
     /// Writes the JSON report to a file.
@@ -243,6 +250,20 @@ impl RunReport {
             .map(|e| e.telemetry.trace_records())
             .sum()
     }
+}
+
+/// Peak resident set size of this process in MiB: the `VmHWM` line of
+/// `/proc/self/status`, or `None` where that file is unavailable.
+fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    parse_vm_hwm(&status)
+}
+
+/// The `VmHWM:  <n> kB` line of a `/proc/<pid>/status` text, in MiB.
+fn parse_vm_hwm(status: &str) -> Option<f64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().strip_suffix("kB")?.trim().parse().ok()?;
+    Some(kb / 1024.0)
 }
 
 /// Everything a run produced.
@@ -764,5 +785,33 @@ pub fn run_one(name: &str, params: WorkloadParams) -> Result<Artifact, Error> {
             experiment: name.to_string(),
             wanted: name.to_string(),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn vm_hwm_parses_to_mebibytes() {
+        let status = "Name:\tstacksim\nVmPeak:\t  999 kB\nVmHWM:\t    2048 kB\nVmRSS:\t 1024 kB\n";
+        assert_eq!(parse_vm_hwm(status), Some(2.0));
+        assert_eq!(parse_vm_hwm("Name:\tstacksim\n"), None);
+        assert_eq!(parse_vm_hwm("VmHWM:\tlots\n"), None);
+    }
+
+    #[test]
+    fn run_report_carries_peak_rss_where_available() {
+        let report = RunReport {
+            jobs: 1,
+            wall_s: 0.5,
+            entries: Vec::new(),
+        };
+        let doc = report.to_json();
+        let rss = doc.get("peak_rss_mb").and_then(Json::as_f64);
+        assert_eq!(rss.is_some(), peak_rss_mb().is_some());
+        if cfg!(target_os = "linux") {
+            assert!(rss.is_some_and(|mb| mb > 0.0), "{}", doc.encode());
+        }
     }
 }

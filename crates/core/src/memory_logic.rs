@@ -2,7 +2,7 @@
 //! thermals, and the headline numbers.
 
 use stacksim_floorplan::PowerGrid;
-use stacksim_mem::{Engine, EngineConfig, MemTelemetry, MemoryHierarchy};
+use stacksim_mem::{Engine, EngineConfig, MemTelemetry, MemoryHierarchy, Replay};
 use stacksim_power::bus_power_w;
 use stacksim_thermal::{
     solve_with_stats, Boundary, LayerStack, SolveStats, SolverConfig, TemperatureField,
@@ -133,9 +133,19 @@ pub fn run_benchmark(benchmark: RmsBenchmark, params: &WorkloadParams) -> Result
     Ok(run_benchmark_instrumented(benchmark, params)?.0)
 }
 
+/// Records per replay window of [`run_benchmark_instrumented`] (24 MiB of
+/// packed records): the most of a trace that is ever resident at once.
+const REPLAY_WINDOW: usize = 1 << 20;
+
 /// [`run_benchmark`], also returning the per-option memory-engine
 /// telemetry (one [`MemTelemetry`] per Fig. 7 option, in
 /// [`StackOption::all`] order).
+///
+/// One streamed pass: the benchmark's kernels generate in the background
+/// (see [`RmsBenchmark::stream`]) and each window of the merged trace is
+/// replayed through all four options before the next one is generated, so
+/// no point ever holds its whole trace. Results are bit-identical to
+/// replaying the batch-generated trace once per option.
 ///
 /// # Errors
 ///
@@ -144,19 +154,57 @@ pub fn run_benchmark_instrumented(
     benchmark: RmsBenchmark,
     params: &WorkloadParams,
 ) -> Result<(Fig5Row, [MemTelemetry; 4]), Error> {
-    let trace = benchmark.generate(params);
+    run_windowed(benchmark, params, REPLAY_WINDOW)
+}
+
+/// [`run_benchmark_instrumented`] with `window`-record replay windows.
+///
+/// Option-major: each window runs through one option's replay before the
+/// next option's. An option's hierarchy is built when the first window
+/// reaches it and dropped as soon as it has finished the last window, so a
+/// trace that fits in one window builds the four hierarchies one at a
+/// time.
+fn run_windowed(
+    benchmark: RmsBenchmark,
+    params: &WorkloadParams,
+    window: usize,
+) -> Result<(Fig5Row, [MemTelemetry; 4]), Error> {
+    let mut stream = benchmark.stream(params, window);
+    let total = stream.len();
+    let dep_window = stream.dep_window();
+    let mut replays: [Option<Replay>; 4] = Default::default();
     let mut cpma = [0.0; 4];
     let mut bandwidth = [0.0; 4];
     let mut telemetry = [MemTelemetry::default(); 4];
-    for (i, option) in StackOption::all().into_iter().enumerate() {
-        let mut engine = Engine::new(
-            MemoryHierarchy::new(option.hierarchy())?,
-            EngineConfig::default(),
-        );
-        let result = engine.run_warmed(&trace, WARMUP_FRACTION);
-        cpma[i] = result.cpma;
-        bandwidth[i] = result.offdie_gb_per_sec;
-        telemetry[i] = result.telemetry();
+    let mut fed = 0;
+    loop {
+        let records = stream.next().unwrap_or_default();
+        fed += records.len();
+        // an empty window before `total` means a short stream: finishing
+        // then fails the replay's own record-count check
+        let last = records.is_empty() || fed == total;
+        for (i, option) in StackOption::all().into_iter().enumerate() {
+            let mut replay = match replays[i].take() {
+                Some(replay) => replay,
+                None => Engine::new(
+                    MemoryHierarchy::new(option.hierarchy())?,
+                    EngineConfig::default(),
+                )
+                .replay(total, WARMUP_FRACTION, dep_window),
+            };
+            replay.feed(&records);
+            if last {
+                let result = replay.finish();
+                cpma[i] = result.cpma;
+                bandwidth[i] = result.offdie_gb_per_sec;
+                telemetry[i] = result.telemetry();
+            } else {
+                replays[i] = Some(replay);
+            }
+        }
+        if last {
+            break;
+        }
     }
     Ok((
         Fig5Row {
@@ -356,6 +404,75 @@ mod tests {
         let row = run_benchmark(RmsBenchmark::Conj, &WorkloadParams::test()).unwrap();
         for c in row.cpma {
             assert!(c > 0.0 && c < 100.0);
+        }
+    }
+
+    /// The materialised reference the streamed pass replaced: the whole
+    /// trace generated, then replayed once per option.
+    fn batch_reference(b: RmsBenchmark, p: &WorkloadParams) -> (Fig5Row, [MemTelemetry; 4]) {
+        let trace = b.generate(p);
+        let mut row = Fig5Row {
+            benchmark: b,
+            cpma: [0.0; 4],
+            bandwidth: [0.0; 4],
+        };
+        let mut telemetry = [MemTelemetry::default(); 4];
+        for (i, option) in StackOption::all().into_iter().enumerate() {
+            let hierarchy = MemoryHierarchy::new(option.hierarchy()).unwrap();
+            let result =
+                Engine::new(hierarchy, EngineConfig::default()).run_warmed(&trace, WARMUP_FRACTION);
+            row.cpma[i] = result.cpma;
+            row.bandwidth[i] = result.offdie_gb_per_sec;
+            telemetry[i] = result.telemetry();
+        }
+        (row, telemetry)
+    }
+
+    /// Every float and count of a point, as bits, so equality is exact.
+    fn bits((row, telemetry): &(Fig5Row, [MemTelemetry; 4])) -> Vec<u64> {
+        let mut out: Vec<u64> = row
+            .cpma
+            .iter()
+            .chain(&row.bandwidth)
+            .map(|x| x.to_bits())
+            .collect();
+        for t in telemetry {
+            out.push(t.trace_records);
+            out.extend(
+                [
+                    t.cpma,
+                    t.offdie_gb_per_sec,
+                    t.l1_hit_rate,
+                    t.memory_fraction,
+                ]
+                .map(f64::to_bits),
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn streamed_pass_matches_the_materialised_reference() {
+        let p = WorkloadParams::test();
+        for b in RmsBenchmark::all() {
+            let reference = batch_reference(b, &p);
+            let streamed = run_benchmark_instrumented(b, &p).unwrap();
+            assert_eq!(streamed.0.benchmark, b);
+            assert_eq!(bits(&streamed), bits(&reference), "{b}");
+        }
+    }
+
+    #[test]
+    fn replay_window_size_never_changes_a_bit() {
+        // windows of one record, of a few blocks' worth, and one longer
+        // than any test-scale trace (the single-window path)
+        let p = WorkloadParams::test();
+        for b in RmsBenchmark::all() {
+            let reference = bits(&batch_reference(b, &p));
+            for window in [1, 64, 4096, 1 << 20] {
+                let streamed = run_windowed(b, &p, window).unwrap();
+                assert_eq!(bits(&streamed), reference, "{b}, window {window}");
+            }
         }
     }
 

@@ -7,7 +7,9 @@
 //! configurable outstanding-miss window, which bounds memory-level
 //! parallelism like a set of MSHRs would).
 
-use stacksim_trace::{CpuId, MemOp, RecordBlock, Trace};
+use std::borrow::BorrowMut;
+
+use stacksim_trace::{CpuId, MemOp, PackedRecord, Trace};
 
 use crate::config::{ConfigError, Cycles};
 use crate::hierarchy::MemoryHierarchy;
@@ -220,203 +222,55 @@ impl Engine {
     }
 
     /// Runs a trace, excluding the first `warmup` fraction (0.0..1.0) of
-    /// records from the reported metrics. The excluded prefix still updates
-    /// cache, bank and bus state, so large caches are measured warm.
-    ///
-    /// The measured interval is bounded by *issue* and *completion* times
-    /// of the measured records themselves: it opens at the earliest issue
-    /// among them and closes at their latest completion. Pre-warmup
-    /// references still in flight at the boundary therefore no longer
-    /// deflate the interval (they used to: the interval previously opened
-    /// at the max completion over the whole warmup prefix, which can lie
-    /// *beyond* most of the measured work).
+    /// records from the reported metrics — one [`Replay::feed`] of the
+    /// whole trace. See [`Engine::replay`] for the warm-up accounting.
     ///
     /// # Panics
     ///
-    /// Panics if `warmup` is not within `0.0..1.0`, or if `warmup` rounds
-    /// the warm prefix up to the entire (non-empty) trace and would leave
-    /// an empty measurement window — which would otherwise silently
-    /// report a CPMA of 0.0.
+    /// As [`Engine::replay`].
     pub fn run_warmed(&mut self, trace: &Trace, warmup: f64) -> RunResult {
-        assert!(
-            (0.0..1.0).contains(&warmup),
-            "warmup fraction must be in [0, 1)"
-        );
-        let warm_records = (trace.len() as f64 * warmup) as usize;
-        assert!(
-            trace.is_empty() || warm_records < trace.len(),
-            "warmup fraction {warmup} warms all {} records and leaves an \
-             empty measurement window",
-            trace.len()
-        );
-        // Completion times live in a power-of-two ring sized to the
-        // largest dependency distance in the trace, not a full-length
-        // table: the dependency offset is bounded, so by the time slot
-        // `i & mask` is overwritten no later record can reference index
-        // `i` any more (a distance of exactly `ring_len` is legal — the
-        // slot is read before this record's own write clobbers it).
-        let packed = trace.packed();
-        let ring_len = (trace.max_dep_offset().max(1) as usize).next_power_of_two();
-        let mask = ring_len - 1;
-        let mut ring: Vec<Cycles> = vec![0; ring_len];
-        let mut cpus: Vec<CpuState> = vec![CpuState::default(); trace.cpu_count().max(1)];
-
-        let mut stats_at_warmup = HierarchyStats::default();
-        let mut bus_bytes_at_warmup = 0u64;
-        // Earliest issue / latest completion over the *measured* records
-        // (`MAX` = none measured yet; min-tracking stays branchless).
-        let mut measured_from: Cycles = Cycles::MAX;
-        let mut measured_last: Cycles = 0;
-
-        let (warm, measured) = packed.split_at(warm_records);
-        for (i, p) in warm.iter().enumerate() {
-            let d = p.dep_offset() as usize;
-            let dep_done = if d == 0 { 0 } else { ring[(i - d) & mask] };
-            let cpu = p.cpu();
-            let issued = self.issue(cpu, p.op(), p.addr, &mut cpus[cpu.index()], dep_done);
-            ring[i & mask] = issued.done;
-        }
-        if warm_records > 0 {
-            stats_at_warmup = *self.hierarchy.stats();
-            bus_bytes_at_warmup = self.hierarchy.bus().bytes();
-        }
-        for (j, p) in measured.iter().enumerate() {
-            let i = warm_records + j;
-            let d = p.dep_offset() as usize;
-            let dep_done = if d == 0 { 0 } else { ring[(i - d) & mask] };
-            let cpu = p.cpu();
-            let issued = self.issue(cpu, p.op(), p.addr, &mut cpus[cpu.index()], dep_done);
-            ring[i & mask] = issued.done;
-            measured_from = measured_from.min(issued.at);
-            measured_last = measured_last.max(issued.done);
-        }
-        self.hierarchy.obs_flush();
-        if stacksim_obs::enabled() {
-            stacksim_obs::counter(crate::obs::ENGINE_RECORDS).add(trace.len() as u64);
-        }
-
-        let end_stats = *self.hierarchy.stats();
-        let stats = diff_stats(end_stats, stats_at_warmup);
-        let bytes = self.hierarchy.bus().bytes() - bus_bytes_at_warmup;
-        let total_cycles = measured_last.saturating_sub(if measured_from == Cycles::MAX {
-            0
-        } else {
-            measured_from
-        });
-        let references = stats.accesses;
-        debug_assert!(
-            references > 0 || trace.is_empty(),
-            "non-empty trace produced an empty measurement window"
-        );
-        let cpma = if references == 0 {
-            0.0
-        } else {
-            total_cycles as f64 / references as f64
-        };
-        let gbs = if total_cycles == 0 {
-            0.0
-        } else {
-            bytes as f64 * self.hierarchy.config().bus.core_hz / total_cycles as f64 / 1e9
-        };
-        RunResult {
-            total_cycles,
-            references,
-            cpma,
-            mean_latency: stats.mean_latency(),
-            offdie_gb_per_sec: gbs,
-            offdie_bytes: bytes,
-            stats,
-        }
+        let dep_window = trace.max_dep_offset().max(1) as usize;
+        let mut replay = Replay::new(self, trace.len(), warmup, dep_window);
+        replay.feed(trace.packed());
+        replay.finish()
     }
 
-    /// Runs a stream of packed-record blocks — the generate-while-simulate
-    /// pipeline. Blocks typically arrive through a bounded channel fed by a
-    /// producer thread (see `stacksim-workloads`), so the whole trace is
-    /// never materialised. Dependencies must point at most `dep_window`
-    /// records back; the engine keeps only a power-of-two ring of recent
-    /// completion times. Batched observability counters flush once per
-    /// block rather than per reference.
+    /// Starts an incremental replay of a `total`-record trace whose blocks
+    /// arrive one [`Replay::feed`] at a time — the streamed counterpart of
+    /// [`Engine::run_warmed`], bit-identical to it for any partition of the
+    /// trace into blocks. The replay owns the engine, so several replays
+    /// can advance side by side over the same blocks.
     ///
-    /// Simulation results are bit-identical to [`Engine::run`] on the
-    /// materialised concatenation of the blocks, for any block
-    /// partitioning — the channel carries data, never ordering.
+    /// The first `warmup` fraction of records (`(total * warmup) as
+    /// usize` of them) is excluded from the reported metrics; it still
+    /// updates cache, bank and bus state, so large caches are measured
+    /// warm. The measured interval is bounded by *issue* and *completion*
+    /// times of the measured records themselves: it opens at the earliest
+    /// issue among them and closes at their latest completion, so
+    /// pre-warmup references still in flight at the boundary do not
+    /// deflate it.
+    ///
+    /// Dependencies must point at most `dep_window` records back: the
+    /// replay keeps completion times in a power-of-two ring of at least
+    /// that length, not a full-length table.
     ///
     /// # Panics
     ///
-    /// Panics if `dep_window` is zero or a record's dependency reaches
-    /// further back than `dep_window`.
-    pub fn run_blocks<I>(&mut self, blocks: I, dep_window: usize) -> RunResult
-    where
-        I: IntoIterator<Item = RecordBlock>,
-    {
-        assert!(dep_window > 0, "dependency window must be positive");
-        let ring_len = dep_window.next_power_of_two();
-        let mask = ring_len - 1;
-        let mut ring: Vec<Cycles> = vec![0; ring_len];
-        let mut cpus: Vec<CpuState> = Vec::new();
-        let mut last_done: Cycles = 0;
-        let mut n: usize = 0;
-        for block in blocks {
-            for p in &block {
-                let d = p.dep_offset() as usize;
-                // A distance of exactly `dep_window` is legal even when the
-                // ring is no longer than the window: the dependency's slot
-                // is the one this record overwrites, and it is read first.
-                assert!(
-                    d <= dep_window,
-                    "dependency distance {d} exceeds the window {dep_window}"
-                );
-                let cpu = p.cpu();
-                if cpu.index() >= cpus.len() {
-                    cpus.resize_with(cpu.index() + 1, CpuState::default);
-                }
-                let dep_done = if d == 0 { 0 } else { ring[(n - d) & mask] };
-                let issued = self.issue(cpu, p.op(), p.addr, &mut cpus[cpu.index()], dep_done);
-                ring[n & mask] = issued.done;
-                last_done = last_done.max(issued.done);
-                n += 1;
-            }
-            self.hierarchy.obs_flush();
-        }
-        if stacksim_obs::enabled() {
-            stacksim_obs::counter(crate::obs::ENGINE_RECORDS).add(n as u64);
-        }
-        self.stream_result(last_done, n as u64)
+    /// Panics if `warmup` is not within `0.0..1.0`, if `warmup` rounds the
+    /// warm prefix up to the entire (non-empty) trace and would leave an
+    /// empty measurement window — which would otherwise silently report a
+    /// CPMA of 0.0 — or if `dep_window` is zero.
+    pub fn replay(self, total: usize, warmup: f64, dep_window: usize) -> Replay {
+        Replay::new(self, total, warmup, dep_window)
     }
 
-    /// Whole-stream accounting of [`Engine::run_blocks`]: the measured
-    /// interval opens at cycle 0.
-    fn stream_result(&self, last_done: Cycles, n: u64) -> RunResult {
-        let stats = *self.hierarchy.stats();
-        let bytes = self.hierarchy.bus().bytes();
-        let cpma = if n == 0 {
-            0.0
-        } else {
-            last_done as f64 / n as f64
-        };
-        let gbs = if last_done == 0 {
-            0.0
-        } else {
-            bytes as f64 * self.hierarchy.config().bus.core_hz / last_done as f64 / 1e9
-        };
-        RunResult {
-            total_cycles: last_done,
-            references: n,
-            cpma,
-            mean_latency: stats.mean_latency(),
-            offdie_gb_per_sec: gbs,
-            offdie_bytes: bytes,
-            stats,
-        }
-    }
-
-    /// The one issue/drain/access/cursor sequence shared by every run
-    /// path. `dep_done` is the completion time of the record's dependency
-    /// (0 when it has none); it is ignored under the `ignore_deps`
-    /// ablation. Force-inlined: with three call sites this loses the
-    /// inliner's cost model, but each replay loop wants the whole
-    /// issue/access/insert chain flattened so the per-cpu state stays in
-    /// registers across records.
+    /// The one issue/drain/access/cursor sequence of the replay loop.
+    /// `dep_done` is the completion time of the record's dependency (0
+    /// when it has none); it is ignored under the `ignore_deps` ablation.
+    /// Force-inlined: with two call sites (the warm and the measured
+    /// loop) this loses the inliner's cost model, but each loop wants the
+    /// whole issue/access/insert chain flattened so the per-cpu state
+    /// stays in registers across records.
     #[inline(always)]
     fn issue(
         &mut self,
@@ -451,6 +305,202 @@ impl Engine {
     }
 }
 
+/// An in-progress replay of a `total`-record trace through one engine,
+/// fed block by block (see [`Engine::replay`]).
+///
+/// Generic over how it holds the engine: [`Engine::replay`] hands out an
+/// owning `Replay`, [`Engine::run_warmed`] a borrowing one.
+#[derive(Debug)]
+pub struct Replay<E: BorrowMut<Engine> = Engine> {
+    engine: E,
+    total: usize,
+    warm_records: usize,
+    dep_window: usize,
+    /// Completion times, indexed by record position masked to the ring.
+    ring: Vec<Cycles>,
+    cpus: Vec<CpuState>,
+    /// Records fed so far (the next record's position).
+    fed: usize,
+    stats_at_warmup: HierarchyStats,
+    bus_bytes_at_warmup: u64,
+    /// Earliest issue / latest completion over the *measured* records
+    /// (`MAX` = none measured yet; min-tracking stays branchless).
+    measured_from: Cycles,
+    measured_last: Cycles,
+}
+
+impl<E: BorrowMut<Engine>> Replay<E> {
+    fn new(engine: E, total: usize, warmup: f64, dep_window: usize) -> Self {
+        assert!(
+            (0.0..1.0).contains(&warmup),
+            "warmup fraction must be in [0, 1)"
+        );
+        let warm_records = (total as f64 * warmup) as usize;
+        assert!(
+            total == 0 || warm_records < total,
+            "warmup fraction {warmup} warms all {total} records and leaves an \
+             empty measurement window"
+        );
+        assert!(dep_window > 0, "dependency window must be positive");
+        Replay {
+            engine,
+            total,
+            warm_records,
+            dep_window,
+            ring: vec![0; dep_window.next_power_of_two()],
+            cpus: Vec::new(),
+            fed: 0,
+            stats_at_warmup: HierarchyStats::default(),
+            bus_bytes_at_warmup: 0,
+            measured_from: Cycles::MAX,
+            measured_last: 0,
+        }
+    }
+
+    /// Replays the next block of records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block would take the replay past `total` records, or
+    /// a record's dependency reaches further back than `dep_window`.
+    pub fn feed(&mut self, block: &[PackedRecord]) {
+        assert!(
+            block.len() <= self.total - self.fed,
+            "fed {} records past the announced total of {}",
+            self.fed + block.len() - self.total,
+            self.total
+        );
+        let Replay {
+            engine,
+            warm_records,
+            dep_window,
+            ring,
+            cpus,
+            fed,
+            stats_at_warmup,
+            bus_bytes_at_warmup,
+            measured_from,
+            measured_last,
+            ..
+        } = self;
+        let engine = engine.borrow_mut();
+        let (warm_records, dep_window) = (*warm_records, *dep_window);
+        let mask = ring.len() - 1;
+        let mut pos = *fed;
+        let warm_len = warm_records.saturating_sub(pos).min(block.len());
+        let (warm, measured) = block.split_at(warm_len);
+        for p in warm {
+            let dep_done = dep_done(ring, mask, pos, dep_window, p);
+            let issued = engine.issue(p.cpu(), p.op(), p.addr, replay_cpu(cpus, p), dep_done);
+            ring[pos & mask] = issued.done;
+            pos += 1;
+        }
+        if warm_len > 0 && pos == warm_records {
+            *stats_at_warmup = *engine.hierarchy.stats();
+            *bus_bytes_at_warmup = engine.hierarchy.bus().bytes();
+        }
+        let (mut from, mut last) = (*measured_from, *measured_last);
+        for p in measured {
+            let dep_done = dep_done(ring, mask, pos, dep_window, p);
+            let issued = engine.issue(p.cpu(), p.op(), p.addr, replay_cpu(cpus, p), dep_done);
+            ring[pos & mask] = issued.done;
+            pos += 1;
+            from = from.min(issued.at);
+            last = last.max(issued.done);
+        }
+        (*measured_from, *measured_last, *fed) = (from, last, pos);
+    }
+
+    /// Completes the replay and reports metrics over the measured records.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than `total` records were fed.
+    pub fn finish(mut self) -> RunResult {
+        assert!(
+            self.fed == self.total,
+            "replay finished after {} of its {} records",
+            self.fed,
+            self.total
+        );
+        let engine = self.engine.borrow_mut();
+        engine.hierarchy.obs_flush();
+        if stacksim_obs::enabled() {
+            stacksim_obs::counter(crate::obs::ENGINE_RECORDS).add(self.total as u64);
+        }
+
+        let end_stats = *engine.hierarchy.stats();
+        let stats = diff_stats(end_stats, self.stats_at_warmup);
+        let bytes = engine.hierarchy.bus().bytes() - self.bus_bytes_at_warmup;
+        let total_cycles =
+            self.measured_last
+                .saturating_sub(if self.measured_from == Cycles::MAX {
+                    0
+                } else {
+                    self.measured_from
+                });
+        let references = stats.accesses;
+        debug_assert!(
+            references > 0 || self.total == 0,
+            "non-empty trace produced an empty measurement window"
+        );
+        let cpma = if references == 0 {
+            0.0
+        } else {
+            total_cycles as f64 / references as f64
+        };
+        let gbs = if total_cycles == 0 {
+            0.0
+        } else {
+            bytes as f64 * engine.hierarchy.config().bus.core_hz / total_cycles as f64 / 1e9
+        };
+        RunResult {
+            total_cycles,
+            references,
+            cpma,
+            mean_latency: stats.mean_latency(),
+            offdie_gb_per_sec: gbs,
+            offdie_bytes: bytes,
+            stats,
+        }
+    }
+}
+
+/// The issuing cpu's state, grown on first sight of a cpu id.
+#[inline(always)]
+fn replay_cpu<'a>(cpus: &'a mut Vec<CpuState>, p: &PackedRecord) -> &'a mut CpuState {
+    let i = p.cpu().index();
+    if i >= cpus.len() {
+        cpus.resize_with(i + 1, CpuState::default);
+    }
+    &mut cpus[i]
+}
+
+/// Completion time of the record's dependency (0 when it has none), read
+/// from the ring at position `pos`. A distance of exactly `dep_window` is
+/// legal even when the ring is no longer than the window: the
+/// dependency's slot is the one this record overwrites, and it is read
+/// first.
+#[inline(always)]
+fn dep_done(
+    ring: &[Cycles],
+    mask: usize,
+    pos: usize,
+    dep_window: usize,
+    p: &PackedRecord,
+) -> Cycles {
+    let d = p.dep_offset() as usize;
+    assert!(
+        d <= dep_window,
+        "dependency distance {d} exceeds the window {dep_window}"
+    );
+    if d == 0 {
+        0
+    } else {
+        ring[(pos - d) & mask]
+    }
+}
+
 fn diff_stats(end: HierarchyStats, start: HierarchyStats) -> HierarchyStats {
     HierarchyStats {
         accesses: end.accesses - start.accesses,
@@ -475,9 +525,13 @@ mod tests {
     use stacksim_trace::{CpuId, MemOp, TraceBuilder};
 
     fn engine() -> Engine {
+        baseline_engine(EngineConfig::default())
+    }
+
+    fn baseline_engine(cfg: EngineConfig) -> Engine {
         Engine::new(
             MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-            EngineConfig::default(),
+            cfg,
         )
     }
 
@@ -724,8 +778,36 @@ mod tests {
         b.build()
     }
 
+    /// Replays `t` in `block_len`-record feeds through a fresh engine.
+    fn replay_in_blocks(
+        cfg: EngineConfig,
+        t: &Trace,
+        warmup: f64,
+        dep_window: usize,
+        block_len: usize,
+    ) -> RunResult {
+        let mut r = baseline_engine(cfg).replay(t.len(), warmup, dep_window);
+        for block in t.packed().chunks(block_len) {
+            r.feed(block);
+        }
+        r.finish()
+    }
+
+    fn assert_same_run(batch: &RunResult, streamed: &RunResult, at: &str) {
+        assert_eq!(batch.total_cycles, streamed.total_cycles, "{at}");
+        assert_eq!(batch.offdie_bytes, streamed.offdie_bytes, "{at}");
+        assert_eq!(batch.references, streamed.references, "{at}");
+        assert_eq!(batch.stats, streamed.stats, "{at}");
+        assert_eq!(batch.cpma.to_bits(), streamed.cpma.to_bits(), "{at}");
+        assert_eq!(
+            batch.offdie_gb_per_sec.to_bits(),
+            streamed.offdie_gb_per_sec.to_bits(),
+            "{at}"
+        );
+    }
+
     #[test]
-    fn run_blocks_matches_run_at_any_block_size() {
+    fn replay_matches_run_at_any_block_size() {
         let with = |f: fn(&mut EngineConfig)| {
             let mut cfg = EngineConfig::default();
             f(&mut cfg);
@@ -745,45 +827,96 @@ mod tests {
             (EngineConfig::default(), dependency_at_distance(16), 16),
         ];
         for (cfg, t, dep_window) in &cases {
-            let new_engine = || {
-                Engine::new(
-                    MemoryHierarchy::new(HierarchyConfig::core2_baseline()).expect("valid preset"),
-                    *cfg,
-                )
-            };
-            let batch = new_engine().run(t);
-            for block_len in [1usize, 64, 4096] {
-                let blocks: Vec<_> = t.packed().chunks(block_len).map(<[_]>::to_vec).collect();
-                let streamed = new_engine().run_blocks(blocks, *dep_window);
-                let at = format!("cfg {cfg:?}, block {block_len}");
-                assert_eq!(batch.total_cycles, streamed.total_cycles, "{at}");
-                assert_eq!(batch.offdie_bytes, streamed.offdie_bytes, "{at}");
-                assert_eq!(batch.references, streamed.references, "{at}");
-                assert_eq!(batch.stats, streamed.stats, "{at}");
+            for warmup in [0.0, 0.4] {
+                let batch = baseline_engine(*cfg).run_warmed(t, warmup);
+                for block_len in [1usize, 64, 4096] {
+                    let streamed = replay_in_blocks(*cfg, t, warmup, *dep_window, block_len);
+                    let at = format!("cfg {cfg:?}, warmup {warmup}, block {block_len}");
+                    assert_same_run(&batch, &streamed, &at);
+                }
             }
         }
     }
 
     #[test]
-    fn run_blocks_rejects_distant_dependencies() {
+    fn replay_warm_boundary_anywhere_in_a_block() {
+        // 100 records: warm-up 0.0 puts the boundary at record 0; 0.3 at
+        // record 30, inside a 16-record block (16..32) and on no edge;
+        // 0.32 at record 32, exactly on the edge between two blocks
+        let t = mixed_trace(100);
+        for (warmup, warm) in [(0.0, 0), (0.3, 30), (0.32, 32)] {
+            assert_eq!((t.len() as f64 * warmup) as usize, warm);
+            let batch = engine().run_warmed(&t, warmup);
+            assert_eq!(batch.references, 100 - warm as u64);
+            for block_len in [1usize, 16, 100] {
+                let streamed = replay_in_blocks(EngineConfig::default(), &t, warmup, 64, block_len);
+                assert_same_run(
+                    &batch,
+                    &streamed,
+                    &format!("warmup {warmup}, block {block_len}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn replay_of_an_empty_trace_is_a_zero_run() {
+        let r = engine().replay(0, 0.4, 1).finish();
+        assert_eq!(r.references, 0);
+        assert_eq!(r.cpma, 0.0);
+    }
+
+    /// Runs `f` and returns its panic message, failing if it returns.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn replay_rejects_distant_dependencies() {
         // Far past the window, and one past the boundary, where the
         // dependency's slot has already been overwritten by a younger
         // record: both must panic rather than read a wrong completion.
         for distance in [101u64, 17] {
             let t = dependency_at_distance(distance);
-            let caught = std::panic::catch_unwind(|| {
-                let _ = engine().run_blocks([t.packed().to_vec()], 16);
+            let message = panic_message(|| {
+                let mut r = engine().replay(t.len(), 0.0, 16);
+                r.feed(t.packed());
             });
-            let payload = caught.expect_err("dependency beyond the window must panic");
-            let message = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .unwrap_or_default();
             assert!(
                 message.contains("exceeds the window"),
                 "distance {distance}: {message}"
             );
         }
+    }
+
+    #[test]
+    fn replay_rejects_records_past_the_total() {
+        let t = mixed_trace(10);
+        let message = panic_message(|| {
+            let mut r = engine().replay(9, 0.0, 64);
+            r.feed(&t.packed()[..5]);
+            r.feed(&t.packed()[5..]);
+        });
+        assert!(
+            message.contains("past the announced total of 9"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn replay_rejects_finishing_early() {
+        let t = mixed_trace(10);
+        let message = panic_message(|| {
+            let mut r = engine().replay(10, 0.4, 64);
+            r.feed(&t.packed()[..9]);
+            let _ = r.finish();
+        });
+        assert!(message.contains("after 9 of its 10 records"), "{message}");
     }
 
     #[test]

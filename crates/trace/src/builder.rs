@@ -2,6 +2,7 @@
 
 use crate::packed::PackedRecord;
 use crate::record::{Addr, CpuId, MemOp, RecordId};
+use crate::sink::dep_offset;
 use crate::stream::Trace;
 
 /// Builds a [`Trace`] while enforcing the id and dependency invariants.
@@ -76,23 +77,8 @@ impl TraceBuilder {
         dep: Option<RecordId>,
     ) -> RecordId {
         let id = self.next_id();
-        let dep_offset = match dep {
-            None => 0,
-            Some(d) => {
-                assert!(
-                    d < id,
-                    "dependency {d} of record {id} must point to an earlier record"
-                );
-                let dist = id.raw() - d.raw();
-                assert!(
-                    dist <= u64::from(u32::MAX),
-                    "dependency distance {dist} exceeds the packed-record range"
-                );
-                dist as u32
-            }
-        };
         self.trace
-            .push(PackedRecord::new(cpu, op, addr, ip, dep_offset));
+            .push(PackedRecord::new(cpu, op, addr, ip, dep_offset(id, dep)));
         id
     }
 

@@ -6,7 +6,8 @@
 //! through a bounded channel while the simulator is already consuming them
 //! (streaming mode, via [`StreamBuilder`]). Both sinks assign the same
 //! dense ids and pack the same offsets, so a kernel produces bit-identical
-//! records through either.
+//! records through either. A [`CountingSink`] stores nothing: it measures
+//! a kernel's length and deepest dependency edge ahead of a streamed run.
 
 use crate::builder::TraceBuilder;
 use crate::chan::BlockSender;
@@ -58,6 +59,68 @@ impl RecordSink for TraceBuilder {
     }
 }
 
+/// Checks that `dep` points strictly before `id` and returns the packed
+/// backward offset (0 for no dependency) — the one rule every sink shares.
+pub(crate) fn dep_offset(id: RecordId, dep: Option<RecordId>) -> u32 {
+    match dep {
+        None => 0,
+        Some(d) => {
+            assert!(
+                d < id,
+                "dependency {d} of record {id} must point to an earlier record"
+            );
+            let dist = id.raw() - d.raw();
+            assert!(
+                dist <= u64::from(u32::MAX),
+                "dependency distance {dist} exceeds the packed-record range"
+            );
+            dist as u32
+        }
+    }
+}
+
+/// A sink that stores nothing and only measures the stream: its length and
+/// its deepest dependency edge. Running a kernel into it first lets a
+/// streamed replay know the trace length (and so the warm-up boundary) and
+/// size its dependency windows before any record is simulated.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CountingSink {
+    emitted: u64,
+    max_dep: u32,
+}
+
+impl CountingSink {
+    /// An empty count.
+    pub fn new() -> Self {
+        CountingSink::default()
+    }
+
+    /// Largest backward dependency offset seen (0 if no record has one).
+    pub fn max_dep_offset(&self) -> u32 {
+        self.max_dep
+    }
+}
+
+impl RecordSink for CountingSink {
+    fn record_dep(
+        &mut self,
+        _cpu: CpuId,
+        _op: MemOp,
+        _addr: Addr,
+        _ip: Addr,
+        dep: Option<RecordId>,
+    ) -> RecordId {
+        let id = RecordId::new(self.emitted);
+        self.max_dep = self.max_dep.max(dep_offset(id, dep));
+        self.emitted += 1;
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.emitted as usize
+    }
+}
+
 /// A sink that packs records into fixed-size blocks and pushes each full
 /// block through a bounded [`block_channel`](crate::block_channel).
 ///
@@ -97,12 +160,19 @@ impl StreamBuilder {
         RecordId::new(self.emitted)
     }
 
-    fn flush(&mut self) {
+    /// Sends the current block, replacing it with a fresh `block_len`
+    /// buffer unless this is the final flush.
+    fn flush(&mut self, last: bool) {
         if self.block.is_empty() || self.hung_up {
             self.block.clear();
             return;
         }
-        let block = std::mem::replace(&mut self.block, Vec::with_capacity(self.block_len));
+        let next = if last {
+            Vec::new()
+        } else {
+            Vec::with_capacity(self.block_len)
+        };
+        let block = std::mem::replace(&mut self.block, next);
         if !self.tx.send(block) {
             self.hung_up = true;
         }
@@ -111,7 +181,7 @@ impl StreamBuilder {
     /// Flushes the final partial block and closes the channel (the drop of
     /// the sender is the end-of-stream signal).
     pub fn finish(mut self) {
-        self.flush();
+        self.flush(true);
     }
 }
 
@@ -125,26 +195,11 @@ impl RecordSink for StreamBuilder {
         dep: Option<RecordId>,
     ) -> RecordId {
         let id = RecordId::new(self.emitted);
-        let dep_offset = match dep {
-            None => 0,
-            Some(d) => {
-                assert!(
-                    d < id,
-                    "dependency {d} of record {id} must point to an earlier record"
-                );
-                let dist = id.raw() - d.raw();
-                assert!(
-                    dist <= u64::from(u32::MAX),
-                    "dependency distance {dist} exceeds the packed-record range"
-                );
-                dist as u32
-            }
-        };
         self.block
-            .push(PackedRecord::new(cpu, op, addr, ip, dep_offset));
+            .push(PackedRecord::new(cpu, op, addr, ip, dep_offset(id, dep)));
         self.emitted += 1;
         if self.block.len() == self.block_len {
-            self.flush();
+            self.flush(false);
         }
         id
     }
@@ -188,6 +243,27 @@ mod tests {
             handle.join().unwrap();
             assert_eq!(Trace::from_packed(packed), batch, "block_len {block_len}");
         }
+    }
+
+    #[test]
+    fn counting_sink_measures_length_and_deepest_edge() {
+        let mut c = CountingSink::new();
+        assert!(c.is_empty());
+        let a = c.record_dep(CpuId::new(0), MemOp::Load, 0, 0, None);
+        for _ in 0..9 {
+            c.record_dep(CpuId::new(0), MemOp::Load, 64, 0, None);
+        }
+        c.record_dep(CpuId::new(0), MemOp::Store, 128, 0, Some(a));
+        emit(&mut c, 5); // a chain of distance-1 edges
+        assert_eq!(c.len(), 16);
+        assert_eq!(c.max_dep_offset(), 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "earlier record")]
+    fn counting_sink_rejects_forward_dependencies() {
+        let mut c = CountingSink::new();
+        c.record_dep(CpuId::new(0), MemOp::Load, 0, 0, Some(RecordId::new(0)));
     }
 
     #[test]

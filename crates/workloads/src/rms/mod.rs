@@ -136,7 +136,10 @@ impl RmsBenchmark {
     /// background and returns a stream of fixed-size packed-record blocks.
     /// Concatenated, the blocks are bit-identical to
     /// [`generate`](RmsBenchmark::generate) — generation merely overlaps
-    /// with whatever consumes the blocks (see `DESIGN.md` §14).
+    /// with whatever consumes the blocks (see `DESIGN.md` §14). A counting
+    /// pass over the kernels runs first, so the stream's
+    /// [`len`](TraceStream::len) and
+    /// [`dep_window`](TraceStream::dep_window) are known up front.
     ///
     /// # Panics
     ///

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use stacksim::core::harness::json::Json;
 use stacksim::core::harness::{obs_audit, obs_report, MemoCache, Registry, RunOptions, Runner};
-use stacksim::workloads::WorkloadParams;
+use stacksim::workloads::{RmsBenchmark, WorkloadParams};
 
 /// The enable flag, registry and sink are process-global; tests touching
 /// them must not interleave.
@@ -55,9 +55,12 @@ fn run_with_observability_produces_valid_artifacts() {
     let counter = |name: &str| counters.get(name).and_then(Json::as_u64).unwrap_or(0);
     let records = outcome.report.total_trace_records();
     assert!(records > 0);
-    // the counter sees every issued record including warmup; telemetry
-    // reports only the measured window, so the counter dominates it
-    assert!(counter("mem.engine.records") >= records);
+    // the counter sees every replayed record, warm-up included, once per
+    // stack option: exactly four times the generated trace — neither a
+    // double count nor a missed window
+    let generated = RmsBenchmark::Gauss.generate(&WorkloadParams::test()).len() as u64;
+    assert!(generated > records / 4, "telemetry excludes the warm-up");
+    assert_eq!(counter("mem.engine.records"), 4 * generated);
     assert!(counter("mem.accesses") > 0);
     assert!(counter("mem.bus.bytes") > 0);
     assert_eq!(counter("harness.experiments"), 1);
