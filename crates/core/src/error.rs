@@ -49,18 +49,6 @@ pub enum Error {
         /// The requested name.
         name: String,
     },
-    /// An experiment names a dependency that is not registered.
-    MissingDependency {
-        /// The dependent experiment.
-        experiment: String,
-        /// The missing dependency.
-        dependency: String,
-    },
-    /// The registry's dependency graph contains a cycle.
-    DependencyCycle {
-        /// An experiment on the cycle.
-        name: String,
-    },
     /// A dependency failed, so this experiment could not run.
     DependencyFailed {
         /// The experiment that was skipped.
@@ -161,16 +149,6 @@ impl fmt::Display for Error {
             }
             Error::UnknownExperiment { name } => {
                 write!(f, "no experiment named '{name}' is registered")
-            }
-            Error::MissingDependency {
-                experiment,
-                dependency,
-            } => write!(
-                f,
-                "experiment '{experiment}' depends on unregistered '{dependency}'"
-            ),
-            Error::DependencyCycle { name } => {
-                write!(f, "dependency cycle through experiment '{name}'")
             }
             Error::DependencyFailed {
                 experiment,
@@ -279,8 +257,6 @@ impl Error {
             Error::CacheCorrupt { .. } => "cache-corrupt",
             Error::MalformedDigest { .. } => "malformed-digest",
             Error::UnknownExperiment { .. } => "unknown-experiment",
-            Error::MissingDependency { .. } => "missing-dependency",
-            Error::DependencyCycle { .. } => "dependency-cycle",
             Error::DependencyFailed { .. } => "dependency-failed",
             Error::WorkerPanic { .. } => "worker-panic",
             Error::ArtifactUnavailable { .. } => "artifact-unavailable",

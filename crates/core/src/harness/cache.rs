@@ -778,6 +778,7 @@ mod tests {
             .shards(4)
             .build();
         c.store("fig5:hot", "aa", &sample()).unwrap();
+        let (first_hit, hit_seen) = std::sync::mpsc::channel();
         let reader = {
             let c = c.clone();
             std::thread::spawn(move || {
@@ -787,6 +788,9 @@ mod tests {
                         Ok(Some(a)) => {
                             assert_eq!(a, sample());
                             hits += 1;
+                            if hits == 1 {
+                                let _ = first_hit.send(());
+                            }
                         }
                         Ok(None) => {}
                         Err(e) => panic!("reader saw an error: {e}"),
@@ -795,6 +799,10 @@ mod tests {
                 hits
             })
         };
+        // churn only once the reader has loaded the hot entry: before
+        // that, an eviction could take it before the first read. A reader
+        // that fails first drops the sender, and `join` reports why.
+        let _ = hit_seen.recv();
         for i in 0..60u32 {
             c.store("fig5:churn", &format!("{i:04x}"), &sample2())
                 .unwrap();

@@ -4,9 +4,11 @@
 //! For each registered experiment this module rebuilds the *description*
 //! the experiment will simulate — floorplans, folds, thermal stacks,
 //! hierarchies, parameter sets — as a [`stacksim_lint::Model`] and runs
-//! the standard [`PassRegistry`] over it. The [`Runner`](super::Runner)
-//! calls [`preflight`] on every cache miss so an inconsistent description
-//! fails in milliseconds with diagnostics instead of deep inside a run.
+//! the standard [`PassRegistry`] over it. A [`Sim`](super::Sim) session
+//! built with [`preflight`](super::SimBuilder::preflight) on (the
+//! default) calls [`preflight`] on every cache miss, so an inconsistent
+//! description fails in milliseconds with diagnostics instead of deep
+//! inside a run.
 //!
 //! The digest audit (`SL050`–`SL052`) lives here rather than in the lint
 //! crate because it inspects [`Experiment`] objects, which the lint crate
@@ -345,8 +347,8 @@ pub fn check_experiment(
     Ok(PassRegistry::standard().run(&model))
 }
 
-/// The preflight the [`Runner`](super::Runner) performs before dispatching
-/// an uncached experiment: reject error-severity diagnostics.
+/// The preflight a [`Sim`](super::Sim) session performs before
+/// dispatching an uncached experiment: reject error-severity diagnostics.
 ///
 /// # Errors
 ///

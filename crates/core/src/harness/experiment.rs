@@ -24,8 +24,9 @@ pub trait Experiment: Send + Sync {
     fn name(&self) -> &str;
 
     /// Names of experiments whose artifacts [`run`](Experiment::run) reads
-    /// through [`Ctx::dep`]. The runner completes these first and refuses
-    /// registries with cycles or dangling edges.
+    /// through [`Ctx::dep`]. The executor completes these first;
+    /// [`Registry::add`](super::Registry::add) only accepts an experiment
+    /// whose dependencies are already registered.
     fn deps(&self) -> Vec<String> {
         Vec::new()
     }

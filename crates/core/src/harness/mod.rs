@@ -9,8 +9,9 @@
 //!    `fig11`, `table4`, `table5` and the `headline` summary — together
 //!    with their dependency edges (e.g. `headline` needs `fig5`, which
 //!    needs all twelve per-benchmark points).
-//! 2. [`Runner::run`] executes a selection (plus its transitive
-//!    dependencies) as a dependency-aware fan-out across worker threads.
+//! 2. A [`Sim`] session accepts requests for experiments and runs each
+//!    batch of them (plus their transitive dependencies) as a
+//!    dependency-aware fan-out across worker threads.
 //! 3. Each result is serialized as a deterministic JSON [`Artifact`] and
 //!    memoized on disk keyed by the experiment's
 //!    [`params_digest`](Experiment::params_digest) — re-runs with the same
@@ -22,15 +23,15 @@
 //! # Example
 //!
 //! ```
-//! use stacksim_core::harness::{Registry, RunOptions, Runner};
+//! use stacksim_core::harness::{ExperimentRequest, Sim};
 //! use stacksim_workloads::WorkloadParams;
 //!
-//! let runner = Runner::new(
-//!     Registry::standard(),
-//!     RunOptions::builder().params(WorkloadParams::test()).build(),
-//! );
-//! let outcome = runner.run(&["fig5:gauss".into()])?;
-//! assert!(outcome.artifacts.contains_key("fig5:gauss"));
+//! let sim = Sim::builder().params(WorkloadParams::test()).build();
+//! let outcome = sim.submit(&ExperimentRequest::new("fig5:gauss"))?.wait();
+//! assert!(outcome.is_ok());
+//! sim.shutdown();
+//! let batches = sim.drain_outcomes();
+//! assert!(batches[0].artifacts.contains_key("fig5:gauss"));
 //! # Ok::<(), stacksim_core::Error>(())
 //! ```
 
@@ -61,9 +62,7 @@ pub use experiment::{Ctx, Experiment, MemRun, ParamSensitivity, Telemetry};
 pub use journal::{JournalRecovery, RequestJournal, JOURNAL_SCHEMA};
 pub use registry::Registry;
 pub use resilience::{FailureEntry, FailureReport, Resilience, SolverDegrade};
-pub use runner::{
-    run_one, ExperimentReport, RunOptions, RunOptionsBuilder, RunOutcome, RunReport, Runner,
-};
+pub use runner::{ExperimentReport, RunOutcome, RunReport};
 pub use session::{
     ExperimentRequest, RequestHandle, RequestOutcome, RequestStatus, Sim, SimBuilder, SimStats,
 };

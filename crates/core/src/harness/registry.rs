@@ -1,5 +1,6 @@
 //! The standard experiment registry: every table and figure of the paper.
 
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use stacksim_thermal::SolverConfig;
@@ -67,6 +68,10 @@ fn table4_uops(params: &WorkloadParams) -> usize {
 
 /// A named collection of experiments with dependency edges.
 ///
+/// A DAG by construction: [`add`](Registry::add) only accepts an
+/// experiment whose dependencies are already registered, so no cycle or
+/// dangling edge can exist and registration order is a topological order.
+///
 /// Cloning is cheap: experiments are shared behind [`Arc`]s.
 #[derive(Clone)]
 pub struct Registry {
@@ -116,13 +121,22 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if the name is already taken — two experiments sharing a
-    /// name would silently shadow each other in the cache.
+    /// name would silently shadow each other in the cache — or if a
+    /// dependency is not registered yet (which also rules out
+    /// self-dependencies and cycles).
     pub fn add(&mut self, exp: Arc<dyn Experiment>) {
         assert!(
             self.get(exp.name()).is_none(),
             "duplicate experiment name '{}'",
             exp.name()
         );
+        for dep in exp.deps() {
+            assert!(
+                self.get(&dep).is_some(),
+                "experiment '{}' depends on '{dep}', which is not registered before it",
+                exp.name()
+            );
+        }
         self.experiments.push(exp);
     }
 
@@ -139,6 +153,23 @@ impl Registry {
     /// All experiments, in registration order.
     pub fn experiments(&self) -> &[Arc<dyn Experiment>] {
         &self.experiments
+    }
+
+    /// `roots` plus their transitive dependencies, in registration
+    /// order. Dependencies are registered before their dependents, so one
+    /// backwards pass collects the whole closure.
+    pub(crate) fn closure(&self, roots: &[Arc<dyn Experiment>]) -> Vec<Arc<dyn Experiment>> {
+        let mut wanted: HashSet<String> = roots.iter().map(|e| e.name().to_string()).collect();
+        for exp in self.experiments.iter().rev() {
+            if wanted.contains(exp.name()) {
+                wanted.extend(exp.deps());
+            }
+        }
+        self.experiments
+            .iter()
+            .filter(|e| wanted.contains(e.name()))
+            .cloned()
+            .collect()
     }
 }
 
@@ -446,6 +477,50 @@ mod tests {
             let threaded = exp.params_digest(&WorkloadParams::builder().solver_threads(8).build());
             assert_eq!(base, threaded, "{name} digest reacted to solver_threads");
         }
+    }
+
+    /// An experiment with the given dependencies and nothing to run.
+    struct Node {
+        name: &'static str,
+        deps: &'static [&'static str],
+    }
+
+    impl Experiment for Node {
+        fn name(&self) -> &str {
+            self.name
+        }
+
+        fn deps(&self) -> Vec<String> {
+            self.deps.iter().map(|d| d.to_string()).collect()
+        }
+
+        fn params_digest(&self, _params: &WorkloadParams) -> String {
+            Digest::new().str(self.name).hex()
+        }
+
+        fn run(&self, _ctx: &Ctx) -> Result<Artifact, Error> {
+            Ok(Artifact::Table5(Vec::new()))
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not registered before it")]
+    fn add_rejects_a_dependency_registered_later() {
+        let mut r = Registry::new();
+        r.add(Arc::new(Node {
+            name: "child",
+            deps: &["parent"],
+        }));
+    }
+
+    #[test]
+    #[should_panic(expected = "not registered before it")]
+    fn add_rejects_a_self_dependency() {
+        let mut r = Registry::new();
+        r.add(Arc::new(Node {
+            name: "loop",
+            deps: &["loop"],
+        }));
     }
 
     #[test]

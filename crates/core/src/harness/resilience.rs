@@ -1,8 +1,10 @@
 //! Resilience policies and the harness side of the fault plane.
 //!
 //! This module holds everything DESIGN.md §11 describes: the harness's
-//! declared fault sites, the [`Resilience`] policy knobs of
-//! [`RunOptions`](super::RunOptions), the solver degradation ladder
+//! declared fault sites, the [`Resilience`] policy knobs a
+//! [`Sim`](super::Sim) session runs its batches under (set with
+//! [`SimBuilder::resilience`](super::SimBuilder::resilience)), the solver
+//! degradation ladder
 //! ([`SolverDegrade`]), the `--fault-plan` JSON loader, and the
 //! machine-readable `stacksim-failures/1` report that `--keep-going`
 //! runs emit.
@@ -116,7 +118,11 @@ impl SolverDegrade {
     }
 }
 
-/// Per-experiment resilience policy of a [`Runner`](super::Runner).
+/// Per-experiment resilience policy of a [`Sim`](super::Sim) session's
+/// batches. A request's `deadline_ms` tightens [`deadline_s`] for its own
+/// batch.
+///
+/// [`deadline_s`]: Resilience::deadline_s
 #[derive(Debug, Clone)]
 pub struct Resilience {
     /// Retry budget for transient failures (I/O errors, worker panics).

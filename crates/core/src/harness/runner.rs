@@ -1,12 +1,16 @@
-//! Dependency-aware parallel execution of registered experiments.
+//! The batch executor behind the [`Sim`](super::Sim) session, and the
+//! run report it produces.
 //!
-//! The runner expands a selection to its transitive dependency closure,
-//! validates the graph (no cycles, no dangling edges), then fans the ready
-//! set out across worker threads. Each experiment first consults the memo
-//! cache; a hit skips the run entirely (telemetry shows zero solver
-//! iterations), a miss runs, records telemetry and stores the artifact.
+//! The session's scheduler hands each batch's experiments to
+//! [`Batch::run`], which adds their transitive dependencies and fans the
+//! ready set out across worker threads. The registry is a DAG by
+//! construction, so registration order is already a valid schedule and
+//! nothing here can fail structurally. Each experiment first consults
+//! the memo cache; a hit skips the run entirely (telemetry shows zero
+//! solver iterations), a miss runs, records telemetry and stores the
+//! artifact.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -21,110 +25,6 @@ use super::json::Json;
 use super::registry::Registry;
 use super::resilience::{self, Resilience, SolverDegrade};
 use crate::error::Error;
-
-/// How a [`Runner`] executes.
-///
-/// `#[non_exhaustive]`: construct via [`RunOptions::builder`] (or start
-/// from [`RunOptions::default`] and set fields) so new knobs can land
-/// without breaking callers.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct RunOptions {
-    /// Workload parameters handed to every experiment.
-    pub params: WorkloadParams,
-    /// Worker threads; `0` means one per available CPU.
-    pub jobs: usize,
-    /// The memo cache (disabled by default).
-    pub cache: MemoCache,
-    /// Run the `stacksim check` lint passes over an experiment's model
-    /// before dispatching it (cache misses only — a hit proves the same
-    /// configuration already ran to completion). On by default; invalid
-    /// models fail fast with [`Error::InvalidModel`] instead of panicking
-    /// mid-run.
-    pub preflight: bool,
-    /// Failure-handling policy: transient retries, cache quarantine, the
-    /// solver degradation ladder, and per-experiment budgets.
-    pub resilience: Resilience,
-}
-
-impl Default for RunOptions {
-    fn default() -> Self {
-        RunOptions {
-            params: WorkloadParams::paper(),
-            jobs: 0,
-            cache: MemoCache::disabled(),
-            preflight: true,
-            resilience: Resilience::default(),
-        }
-    }
-}
-
-impl RunOptions {
-    /// Starts a builder at the defaults (paper-scale params, one worker
-    /// per CPU, disabled cache, preflight on, default resilience).
-    #[must_use]
-    pub fn builder() -> RunOptionsBuilder {
-        RunOptionsBuilder {
-            options: RunOptions::default(),
-        }
-    }
-}
-
-/// Builds a [`RunOptions`]; the supported way to construct one now that
-/// the struct is `#[non_exhaustive]`.
-#[derive(Debug, Clone)]
-pub struct RunOptionsBuilder {
-    options: RunOptions,
-}
-
-impl RunOptionsBuilder {
-    /// Workload parameters handed to every experiment.
-    #[must_use]
-    pub fn params(mut self, params: WorkloadParams) -> Self {
-        self.options.params = params;
-        self
-    }
-
-    /// Worker threads; `0` means one per available CPU.
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.options.jobs = jobs;
-        self
-    }
-
-    /// Run everything on one worker thread (`jobs = 1`).
-    #[must_use]
-    pub fn serial(self) -> Self {
-        self.jobs(1)
-    }
-
-    /// The memo cache to consult and fill.
-    #[must_use]
-    pub fn cache(mut self, cache: MemoCache) -> Self {
-        self.options.cache = cache;
-        self
-    }
-
-    /// Whether to lint an experiment's model before a cache-missing run.
-    #[must_use]
-    pub fn preflight(mut self, preflight: bool) -> Self {
-        self.options.preflight = preflight;
-        self
-    }
-
-    /// The failure-handling policy.
-    #[must_use]
-    pub fn resilience(mut self, resilience: Resilience) -> Self {
-        self.options.resilience = resilience;
-        self
-    }
-
-    /// Finishes the build.
-    #[must_use]
-    pub fn build(self) -> RunOptions {
-        self.options
-    }
-}
 
 /// One experiment's row in the run report.
 #[derive(Debug, Clone)]
@@ -201,7 +101,7 @@ pub struct RunReport {
     pub jobs: usize,
     /// Total wall time in seconds.
     pub wall_s: f64,
-    /// Per-experiment rows, in dependency (schedule) order.
+    /// Per-experiment rows, in registration order (dependencies first).
     pub entries: Vec<ExperimentReport>,
 }
 
@@ -278,229 +178,184 @@ pub struct RunOutcome {
     pub errors: Vec<(String, Error)>,
 }
 
-/// Executes experiments from a [`Registry`] under [`RunOptions`].
-#[derive(Debug)]
-pub struct Runner {
-    registry: Registry,
-    options: RunOptions,
+/// What one batch runs under: the session's registry, memo cache,
+/// worker count and preflight setting, plus the batch's own workload
+/// parameters and deadline-folded resilience policy.
+pub(super) struct Batch<'a> {
+    pub(super) registry: &'a Registry,
+    pub(super) cache: &'a MemoCache,
+    /// Worker threads; `0` means one per available CPU.
+    pub(super) jobs: usize,
+    /// Lint an experiment's model before a cache-missing run (a hit
+    /// proves the same configuration already ran to completion).
+    pub(super) preflight: bool,
+    pub(super) params: WorkloadParams,
+    pub(super) resilience: Resilience,
 }
 
+/// One selected experiment's scheduling state.
+struct Node {
+    exp: Arc<dyn Experiment>,
+    /// Dependencies that have not finished yet.
+    waiting: usize,
+    /// Selection positions of the direct dependents.
+    dependents: Vec<usize>,
+    /// Failed, or skipped because a dependency failed.
+    failed: bool,
+    report: Option<ExperimentReport>,
+}
+
+/// A batch's scheduling state; experiments are positions in its
+/// selection.
 struct State {
-    ready: VecDeque<String>,
-    remaining_deps: HashMap<String, usize>,
-    dependents: HashMap<String, Vec<String>>,
+    nodes: Vec<Node>,
+    ready: VecDeque<(usize, Arc<dyn Experiment>)>,
     results: HashMap<String, Arc<Artifact>>,
-    failed: HashSet<String>,
-    reports: Vec<ExperimentReport>,
     errors: Vec<(String, Error)>,
-    active: usize,
     done: usize,
-    total: usize,
 }
 
-impl Runner {
-    /// Pairs a registry with run options.
-    pub fn new(registry: Registry, options: RunOptions) -> Self {
-        Runner { registry, options }
+impl State {
+    /// Stores a finished experiment's report row and returns its direct
+    /// dependents.
+    fn finish(&mut self, at: usize, report: ExperimentReport, failed: bool) -> Vec<usize> {
+        self.done += 1;
+        match self.nodes.get_mut(at) {
+            Some(node) => {
+                node.report = Some(report);
+                node.failed |= failed;
+                node.dependents.clone()
+            }
+            None => Vec::new(),
+        }
     }
 
-    /// Runs every registered experiment.
-    ///
-    /// # Errors
-    ///
-    /// Structural registry problems only; per-experiment failures are
-    /// recorded in the outcome.
-    pub fn run_all(&self) -> Result<RunOutcome, Error> {
-        let names: Vec<String> = self
-            .registry
-            .names()
-            .into_iter()
-            .map(str::to_string)
-            .collect();
-        self.run(&names)
+    /// Skips every transitive dependent of the failed experiment `root`.
+    fn fail_dependents(&mut self, root: usize, root_name: &str) {
+        let mut queue: VecDeque<usize> = self
+            .nodes
+            .get(root)
+            .map(|n| n.dependents.clone())
+            .unwrap_or_default()
+            .into();
+        while let Some(at) = queue.pop_front() {
+            let name = match self.nodes.get(at) {
+                Some(node) if !node.failed => node.exp.name().to_string(),
+                _ => continue,
+            };
+            if stacksim_obs::enabled() {
+                stacksim_obs::counter(super::obs::FAILURES).add(1);
+            }
+            let skip = Error::DependencyFailed {
+                experiment: name.clone(),
+                dependency: root_name.to_string(),
+            };
+            let mut report = ExperimentReport::blank(&name, String::new());
+            report.error = Some(skip.to_string());
+            report.error_kind = Some(skip.kind().to_string());
+            queue.extend(self.finish(at, report, true));
+        }
     }
+}
 
-    /// Runs a selection of experiments (plus their transitive
-    /// dependencies) and returns artifacts and telemetry.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::UnknownExperiment`] for names not in the registry,
-    /// [`Error::MissingDependency`] for dangling dependency edges and
-    /// [`Error::DependencyCycle`] for cyclic graphs. Failures *inside*
-    /// experiments do not abort the run; they are recorded in
-    /// [`RunOutcome::errors`] and the report.
-    pub fn run(&self, names: &[String]) -> Result<RunOutcome, Error> {
+/// Locks a batch's scheduling state, recovering from poisoning (the
+/// guarded bookkeeping stays structurally sound even if a worker
+/// panicked).
+fn lock(state: &Mutex<State>) -> std::sync::MutexGuard<'_, State> {
+    state
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+impl Batch<'_> {
+    /// Runs `roots` plus their transitive dependencies and returns artifacts
+    /// and telemetry. Failures inside experiments do not abort the batch:
+    /// they are recorded in [`RunOutcome::errors`] and the report, and every
+    /// dependent of a failed experiment is skipped. Report rows come in
+    /// registration order.
+    pub(super) fn run(&self, roots: &[Arc<dyn Experiment>]) -> RunOutcome {
         let start = Instant::now();
-        let selection = self.expand(names)?;
+        let selection = self.registry.closure(roots);
         let total = selection.len();
         let mut run_span = stacksim_obs::span(super::obs::EVENT_RUN);
         run_span.field("experiments", total as u64);
 
-        // Kahn's algorithm both validates acyclicity and seeds the ready
-        // queue deterministically (registration order among ties).
-        let mut remaining_deps = HashMap::new();
-        let mut dependents: HashMap<String, Vec<String>> = HashMap::new();
-        for name in &selection {
-            let exp = self.registry.get(name).ok_or_else(|| Error::Internal {
-                detail: format!("selection '{name}' vanished from the registry"),
-            })?;
-            let deps = exp.deps();
-            remaining_deps.insert(name.clone(), deps.len());
-            for dep in deps {
-                dependents.entry(dep).or_default().push(name.clone());
-            }
-        }
-        {
-            let mut counts = remaining_deps.clone();
-            let mut queue: VecDeque<&String> = selection
-                .iter()
-                .filter(|n| counts.get(*n) == Some(&0))
-                .collect();
-            let mut seen = 0;
-            while let Some(n) = queue.pop_front() {
-                seen += 1;
-                for d in dependents.get(n.as_str()).into_iter().flatten() {
-                    let Some(c) = counts.get_mut(d) else {
-                        return Err(Error::Internal {
-                            detail: format!("dependent '{d}' missing from the selection"),
-                        });
-                    };
-                    *c -= 1;
-                    if *c == 0 {
-                        queue.push_back(d);
-                    }
+        let position: HashMap<&str, usize> = selection
+            .iter()
+            .enumerate()
+            .map(|(at, e)| (e.name(), at))
+            .collect();
+        let mut nodes: Vec<Node> = selection
+            .iter()
+            .map(|exp| Node {
+                exp: exp.clone(),
+                waiting: exp.deps().len(),
+                dependents: Vec::new(),
+                failed: false,
+                report: None,
+            })
+            .collect();
+        // the closure holds every dependency of its members
+        for (at, exp) in selection.iter().enumerate() {
+            for dep in exp.deps() {
+                if let Some(node) = position.get(dep.as_str()).and_then(|&d| nodes.get_mut(d)) {
+                    node.dependents.push(at);
                 }
             }
-            if seen != total {
-                let on_cycle = selection
-                    .iter()
-                    .find(|n| counts.get(*n).is_some_and(|c| *c > 0))
-                    .ok_or_else(|| Error::Internal {
-                        detail: "cycle detected but no node with open deps".to_string(),
-                    })?;
-                return Err(Error::DependencyCycle {
-                    name: on_cycle.clone(),
-                });
-            }
         }
-
-        let ready: VecDeque<String> = selection
+        let ready = nodes
             .iter()
-            .filter(|n| remaining_deps.get(*n) == Some(&0))
-            .cloned()
+            .enumerate()
+            .filter(|(_, n)| n.waiting == 0)
+            .map(|(at, n)| (at, n.exp.clone()))
             .collect();
         let state = Mutex::new(State {
+            nodes,
             ready,
-            remaining_deps,
-            dependents,
             results: HashMap::new(),
-            failed: HashSet::new(),
-            reports: Vec::new(),
             errors: Vec::new(),
-            active: 0,
             done: 0,
-            total,
         });
         let cv = Condvar::new();
 
-        let jobs = if self.options.jobs == 0 {
+        let jobs = if self.jobs == 0 {
             std::thread::available_parallelism().map_or(1, usize::from)
         } else {
-            self.options.jobs
+            self.jobs
         };
         let workers = jobs.min(total.max(1));
-
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| self.worker(&state, &cv));
             }
         });
 
-        // A worker can only poison the mutex by panicking between lock and
-        // unlock; the state it guards is still structurally sound, so
-        // recover it rather than cascading the panic.
-        let mut st = state
+        let st = state
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        // report rows in deterministic (selection) order; unknown names
-        // (impossible unless a worker misbehaved) sort last
-        st.reports.sort_by_key(|r| {
-            selection
-                .iter()
-                .position(|n| *n == r.name)
-                .unwrap_or(usize::MAX)
-        });
         let wall_s = start.elapsed().as_secs_f64();
         run_span.field("wall_us", (wall_s * 1e6) as u64);
         drop(run_span);
-        Ok(RunOutcome {
+        RunOutcome {
             report: RunReport {
                 jobs: workers,
                 wall_s,
-                entries: st.reports,
+                entries: st.nodes.into_iter().filter_map(|n| n.report).collect(),
             },
             artifacts: st.results,
             errors: st.errors,
-        })
-    }
-
-    /// Expands names to the transitive dependency closure, in
-    /// registration order.
-    fn expand(&self, names: &[String]) -> Result<Vec<String>, Error> {
-        let mut wanted = HashSet::new();
-        let mut stack = Vec::new();
-        for name in names {
-            if self.registry.get(name).is_none() {
-                return Err(Error::UnknownExperiment { name: name.clone() });
-            }
-            if wanted.insert(name.clone()) {
-                stack.push(name.clone());
-            }
         }
-        while let Some(name) = stack.pop() {
-            let exp = self.registry.get(&name).ok_or_else(|| Error::Internal {
-                detail: format!("'{name}' vanished from the registry mid-expansion"),
-            })?;
-            for dep in exp.deps() {
-                if self.registry.get(&dep).is_none() {
-                    return Err(Error::MissingDependency {
-                        experiment: name.clone(),
-                        dependency: dep,
-                    });
-                }
-                if wanted.insert(dep.clone()) {
-                    stack.push(dep);
-                }
-            }
-        }
-        Ok(self
-            .registry
-            .names()
-            .into_iter()
-            .filter(|n| wanted.contains(*n))
-            .map(str::to_string)
-            .collect())
-    }
-
-    /// Locks the scheduler state, recovering from poisoning (the guarded
-    /// bookkeeping stays structurally sound even if a worker panicked).
-    fn lock_state<'a>(state: &'a Mutex<State>) -> std::sync::MutexGuard<'a, State> {
-        state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn worker(&self, state: &Mutex<State>, cv: &Condvar) {
         loop {
-            let name = {
-                let mut st = Self::lock_state(state);
+            let next = {
+                let mut st = lock(state);
                 loop {
-                    if let Some(n) = st.ready.pop_front() {
-                        st.active += 1;
-                        break Some(n);
+                    if let Some(next) = st.ready.pop_front() {
+                        break Some(next);
                     }
-                    if st.done == st.total {
+                    if st.done == st.nodes.len() {
                         break None;
                     }
                     st = cv
@@ -508,91 +363,43 @@ impl Runner {
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                 }
             };
-            let Some(name) = name else {
+            let Some((at, exp)) = next else {
                 cv.notify_all();
                 return;
             };
 
-            let outcome = match self.registry.get(&name) {
-                Some(exp) => {
-                    let deps: HashMap<String, Arc<Artifact>> = {
-                        let st = Self::lock_state(state);
-                        exp.deps()
-                            .into_iter()
-                            .filter_map(|d| st.results.get(&d).map(|a| (d, a.clone())))
-                            .collect()
-                    };
-                    self.execute(exp.as_ref(), deps)
-                }
-                None => {
-                    // Unreachable unless the registry changed under us;
-                    // record the invariant violation instead of panicking
-                    // the worker pool.
-                    let error = Error::Internal {
-                        detail: format!("scheduled experiment '{name}' is not registered"),
-                    };
-                    let mut report = ExperimentReport::blank(&name, String::new());
-                    report.error = Some(error.to_string());
-                    report.error_kind = Some(error.kind().to_string());
-                    (report, Err(error))
-                }
+            let deps: HashMap<String, Arc<Artifact>> = {
+                let st = lock(state);
+                exp.deps()
+                    .into_iter()
+                    .filter_map(|d| st.results.get(&d).map(|a| (d, a.clone())))
+                    .collect()
             };
+            let (report, result) = self.execute(exp.as_ref(), deps);
 
-            let mut st = Self::lock_state(state);
-            st.active -= 1;
-            st.done += 1;
-            match outcome {
-                (report, Ok(artifact)) => {
-                    let artifact = Arc::new(artifact);
-                    st.results.insert(name.clone(), artifact);
-                    st.reports.push(report);
-                    let unblocked: Vec<String> =
-                        st.dependents.get(&name).cloned().unwrap_or_default();
-                    for d in unblocked {
-                        // absent counters (impossible for a selected
-                        // dependent) are simply left alone
-                        if let Some(c) = st.remaining_deps.get_mut(&d) {
-                            *c -= 1;
-                            if *c == 0 && !st.failed.contains(&d) {
-                                st.ready.push_back(d);
+            let mut guard = lock(state);
+            let st = &mut *guard;
+            let name = exp.name();
+            match result {
+                Ok(artifact) => {
+                    st.results.insert(name.to_string(), Arc::new(artifact));
+                    for d in st.finish(at, report, false) {
+                        if let Some(node) = st.nodes.get_mut(d) {
+                            node.waiting -= 1;
+                            if node.waiting == 0 && !node.failed {
+                                st.ready.push_back((d, node.exp.clone()));
                             }
                         }
                     }
                 }
-                (report, Err(error)) => {
-                    st.reports.push(report);
-                    st.errors.push((name.clone(), error));
-                    Self::fail_dependents(&mut st, &name);
+                Err(error) => {
+                    st.finish(at, report, true);
+                    st.errors.push((name.to_string(), error));
+                    st.fail_dependents(at, name);
                 }
             }
+            drop(guard);
             cv.notify_all();
-        }
-    }
-
-    /// Marks every transitive dependent of `root` as skipped.
-    fn fail_dependents(st: &mut State, root: &str) {
-        st.failed.insert(root.to_string());
-        let mut queue: VecDeque<String> =
-            st.dependents.get(root).cloned().unwrap_or_default().into();
-        while let Some(name) = queue.pop_front() {
-            if !st.failed.insert(name.clone()) {
-                continue;
-            }
-            st.done += 1;
-            if stacksim_obs::enabled() {
-                stacksim_obs::counter(super::obs::FAILURES).add(1);
-            }
-            let skip = Error::DependencyFailed {
-                experiment: name.clone(),
-                dependency: root.to_string(),
-            };
-            let mut report = ExperimentReport::blank(&name, String::new());
-            report.error = Some(skip.to_string());
-            report.error_kind = Some(skip.kind().to_string());
-            st.reports.push(report);
-            for d in st.dependents.get(&name).into_iter().flatten() {
-                queue.push_back(d.clone());
-            }
         }
     }
 
@@ -605,7 +412,7 @@ impl Runner {
         deps: HashMap<String, Arc<Artifact>>,
     ) -> (ExperimentReport, Result<Artifact, Error>) {
         let name = exp.name().to_string();
-        let digest = exp.params_digest(&self.options.params);
+        let digest = exp.params_digest(&self.params);
         let start = Instant::now();
         let mut span = stacksim_obs::span(super::obs::EVENT_EXPERIMENT);
         span.field("experiment", name.clone());
@@ -639,7 +446,7 @@ impl Runner {
         (report, result)
     }
 
-    /// The resilience loop around [`Runner::attempt_once`]: retries
+    /// The resilience loop around [`Batch::attempt_once`]: retries
     /// transient failures with deterministic exponential backoff, walks
     /// the [`SolverDegrade`] ladder on non-convergence, and enforces the
     /// per-experiment deadline and iteration budgets.
@@ -650,7 +457,7 @@ impl Runner {
         report: &mut ExperimentReport,
         start: Instant,
     ) -> Result<Artifact, Error> {
-        let policy = &self.options.resilience;
+        let policy = &self.resilience;
         let mut degrade = SolverDegrade::AsConfigured;
         let mut retries_left = policy.retries;
         let mut backoff = Duration::from_millis(policy.backoff_ms);
@@ -721,24 +528,24 @@ impl Runner {
         let name = report.name.clone();
         let digest = report.digest.clone();
         report.attempts += 1;
-        match self.options.cache.load(&name, &digest) {
+        match self.cache.load(&name, &digest) {
             Ok(Some(artifact)) => {
                 report.cached = true;
                 return Ok(artifact);
             }
             Ok(None) => {}
-            Err(Error::CacheCorrupt { .. }) if self.options.resilience.quarantine => {
+            Err(Error::CacheCorrupt { .. }) if self.resilience.quarantine => {
                 // move the poisoned entry aside and recompute in place —
                 // the run heals the cache instead of failing on it
-                self.options.cache.quarantine(&name, &digest)?;
+                self.cache.quarantine(&name, &digest)?;
                 report.quarantined = true;
             }
             Err(e) => return Err(e),
         }
-        if self.options.preflight {
-            super::check::preflight(&name, &self.options.params)?;
+        if self.preflight {
+            super::check::preflight(&name, &self.params)?;
         }
-        let ctx = Ctx::new(&name, self.options.params, deps.clone()).with_degrade(degrade);
+        let ctx = Ctx::new(&name, self.params, deps.clone()).with_degrade(degrade);
         let run = catch_unwind(AssertUnwindSafe(|| {
             resilience::dispatch_fault(&name)?;
             let artifact = exp.run(&ctx)?;
@@ -747,7 +554,7 @@ impl Runner {
         match run {
             Ok(Ok((artifact, telemetry))) => {
                 report.telemetry = telemetry;
-                self.options.cache.store(&name, &digest, &artifact)?;
+                self.cache.store(&name, &digest, &artifact)?;
                 Ok(artifact)
             }
             Ok(Err(e)) => Err(e),
@@ -755,36 +562,6 @@ impl Runner {
                 experiment: name.clone(),
             }),
         }
-    }
-}
-
-/// Runs a single experiment (plus dependencies) with a disabled cache —
-/// the one-call library path for embedders and tests that want one
-/// artifact without a [`Sim`](super::Sim) session (`stacksim run` goes
-/// through the session).
-///
-/// # Errors
-///
-/// Structural registry problems, or the first root-cause experiment
-/// failure.
-pub fn run_one(name: &str, params: WorkloadParams) -> Result<Artifact, Error> {
-    let runner = Runner::new(
-        Registry::standard(),
-        RunOptions {
-            params,
-            ..RunOptions::default()
-        },
-    );
-    let mut outcome = runner.run(&[name.to_string()])?;
-    if let Some(artifact) = outcome.artifacts.remove(name) {
-        return Ok(Arc::try_unwrap(artifact).unwrap_or_else(|a| (*a).clone()));
-    }
-    match outcome.errors.into_iter().next() {
-        Some((_, e)) => Err(e),
-        None => Err(Error::ArtifactUnavailable {
-            experiment: name.to_string(),
-            wanted: name.to_string(),
-        }),
     }
 }
 

@@ -27,12 +27,15 @@
 //!   [`RequestHandle::id`] and the `serve.dedup_hits` counter). The
 //!   underlying experiment runs exactly once.
 //! * **batching** — the scheduler thread drains the queue, groups
-//!   adjacent requests with identical workload parameters and fault
-//!   setting, and hands each group to one [`Runner`] invocation, so
-//!   concurrent requests share dependency scheduling and worker threads.
+//!   requests with identical workload parameters, fault setting and
+//!   deadline, and runs each group as one batch on a scoped worker pool,
+//!   so concurrent requests share dependency scheduling and worker
+//!   threads. Batches run one at a time: an opted-in batch arms the
+//!   process-global fault plane.
 //! * **Done** — the handle yields a [`RequestOutcome`]: the per-request
 //!   [`ExperimentReport`] (telemetry, cache/attempt accounting) and the
-//!   artifact on success.
+//!   artifact on success. A request releases its admission slot and its
+//!   dedup entry before its waiters wake.
 //!
 //! Dropping the `Sim` (or calling [`Sim::shutdown`]) drains: everything
 //! already submitted still runs to completion before the scheduler exits.
@@ -46,9 +49,10 @@ use stacksim_workloads::{Scale, WorkloadParams};
 
 use super::artifact::Artifact;
 use super::cache::MemoCache;
+use super::experiment::Experiment;
 use super::registry::Registry;
 use super::resilience::Resilience;
-use super::runner::{ExperimentReport, RunOptions, RunOutcome, Runner};
+use super::runner::{Batch, ExperimentReport, RunOutcome};
 use crate::error::Error;
 
 /// A typed request for one experiment, optionally overriding the
@@ -247,7 +251,8 @@ impl ExperimentRequest {
 pub enum RequestStatus {
     /// Accepted, waiting for the scheduler to batch it.
     Queued,
-    /// Handed to a [`Runner`]; the experiment (or its batch) is running.
+    /// Picked up by the scheduler; the experiment (or its batch) is
+    /// running.
     Running,
     /// Finished — [`RequestHandle::try_outcome`] yields the result.
     Done,
@@ -283,10 +288,10 @@ impl RequestOutcome {
 }
 
 /// One submitted request's slot: shared by every deduplicated handle.
-#[derive(Debug)]
 struct Slot {
     id: u64,
-    name: String,
+    /// The experiment `submit` resolved from the registry.
+    exp: Arc<dyn Experiment>,
     digest: String,
     params: WorkloadParams,
     faults: bool,
@@ -301,10 +306,20 @@ struct Slot {
 /// budget).
 type DedupKey = (String, String, bool, Option<u64>);
 
+impl std::fmt::Debug for Slot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Slot")
+            .field("id", &self.id)
+            .field("name", &self.exp.name())
+            .field("digest", &self.digest)
+            .finish_non_exhaustive()
+    }
+}
+
 impl Slot {
     fn dedup_key(&self) -> DedupKey {
         (
-            self.name.clone(),
+            self.exp.name().to_string(),
             self.digest.clone(),
             self.faults,
             self.deadline_ms,
@@ -348,7 +363,7 @@ impl RequestHandle {
 
     /// The experiment name.
     pub fn name(&self) -> &str {
-        &self.slot.name
+        self.slot.exp.name()
     }
 
     /// The request's configuration digest (its memo-cache key).
@@ -444,10 +459,10 @@ struct SchedState {
     pending: Vec<Arc<Slot>>,
     /// Queued *or running* slots by [`DedupKey`].
     inflight: HashMap<DedupKey, Arc<Slot>>,
-    /// Raw runner outcomes of every batch, for callers that want the
+    /// Raw outcomes of every batch, for callers that want the
     /// batch-level report (the CLI).
     outcomes: Vec<RunOutcome>,
-    /// Slots currently running in a batch (for `wait_idle`).
+    /// Slots taken into a batch and not finished yet.
     running: usize,
     paused: bool,
     shutdown: bool,
@@ -473,8 +488,6 @@ struct Inner {
     state: Mutex<SchedState>,
     /// Wakes the scheduler on submit / resume / shutdown.
     work: Condvar,
-    /// Wakes `wait_idle` when a batch finishes.
-    idle: Condvar,
     submitted: AtomicU64,
     dedup_hits: AtomicU64,
     completed: AtomicU64,
@@ -623,7 +636,7 @@ impl SimBuilder {
 
     /// Start with the scheduler paused: submissions queue (and
     /// deduplicate) but nothing runs until [`Sim::resume`]. This is how a
-    /// caller batches a known set of requests into one runner invocation.
+    /// caller batches a known set of requests into one batch.
     #[must_use]
     pub fn start_paused(mut self, paused: bool) -> Self {
         self.start_paused = paused;
@@ -654,7 +667,6 @@ impl SimBuilder {
                 next_id: 0,
             }),
             work: Condvar::new(),
-            idle: Condvar::new(),
             submitted: AtomicU64::new(0),
             dedup_hits: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -750,20 +762,14 @@ impl Sim {
                 detail: "sim session is shut down".to_string(),
             });
         }
+        // a finished slot has already left the table, so a
+        // post-completion resubmission is new work (a cache hit at most)
         if let Some(slot) = st.inflight.get(&key) {
-            if matches!(&*slot.lock(), SlotState::Done(_)) {
-                // the batch finished this slot but the scheduler has not
-                // swept it out of the dedup table yet; a post-completion
-                // resubmission is new work (a cache hit at most), never a
-                // stale dedup hit
-                st.inflight.remove(&key);
-            } else {
-                self.inner.dedup_hits.fetch_add(1, Ordering::Relaxed);
-                if stacksim_obs::enabled() {
-                    stacksim_obs::counter(super::obs::SERVE_DEDUP_HITS).add(1);
-                }
-                return Ok(RequestHandle { slot: slot.clone() });
+            self.inner.dedup_hits.fetch_add(1, Ordering::Relaxed);
+            if stacksim_obs::enabled() {
+                stacksim_obs::counter(super::obs::SERVE_DEDUP_HITS).add(1);
             }
+            return Ok(RequestHandle { slot: slot.clone() });
         }
         // admission control, atomic with enqueue under the session lock:
         // a shed request allocates nothing and releases nothing
@@ -781,7 +787,7 @@ impl Sim {
         }
         let slot = Arc::new(Slot {
             id: st.next_id,
-            name: request.name().to_string(),
+            exp,
             digest,
             params,
             faults: request.faults,
@@ -814,22 +820,9 @@ impl Sim {
         self.inner.work.notify_all();
     }
 
-    /// Blocks until no request is queued or running. On a paused session
-    /// this returns once the *running* batch (if any) finishes.
-    pub fn wait_idle(&self) {
-        let mut st = self.inner.lock();
-        while st.running > 0 || (!st.paused && !st.pending.is_empty()) {
-            st = self
-                .inner
-                .idle
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Takes the accumulated batch-level [`RunOutcome`]s (one per runner
-    /// invocation the scheduler made). The CLI uses this to render the
-    /// classic run report; per-request callers use [`RequestHandle`]s.
+    /// Takes the accumulated batch-level [`RunOutcome`]s (one per batch
+    /// the scheduler ran). The CLI uses this to render the classic run
+    /// report; per-request callers use [`RequestHandle`]s.
     pub fn drain_outcomes(&self) -> Vec<RunOutcome> {
         std::mem::take(&mut self.inner.lock().outcomes)
     }
@@ -912,14 +905,14 @@ fn scheduler_loop(inner: &Inner) {
                 }
             }
             st.pending = rest;
-            st.running = batch.len();
+            st.running += batch.len();
             for slot in &batch {
                 *slot.lock() = SlotState::Running;
             }
             batch
         };
 
-        // a panic escaping the batch (a runner bug, a poisoned artifact)
+        // a panic escaping the batch (an executor bug, a poisoned artifact)
         // must not kill the scheduler thread: every handle into this batch
         // would block in `wait()` forever, and every later submission
         // would queue unserved. Contain it and fail the batch's slots.
@@ -935,7 +928,7 @@ fn scheduler_loop(inner: &Inner) {
                 let mut report = missing_report(slot);
                 report.error = Some(format!(
                     "scheduler batch panicked while running '{}'",
-                    slot.name
+                    slot.exp.name()
                 ));
                 report.error_kind = Some("worker-panic".to_string());
                 finish_slot(
@@ -948,28 +941,18 @@ fn scheduler_loop(inner: &Inner) {
                 );
             }
         }
-
-        let mut st = inner.lock();
-        st.running = 0;
-        for slot in &batch {
-            st.inflight.remove(&slot.dedup_key());
-        }
-        Inner::publish_inflight(&st);
-        drop(st);
-        inner.idle.notify_all();
     }
 }
 
-/// Runs one batch through a [`Runner`], arming the session fault plan
-/// around it when the batch opted in, and publishes per-slot outcomes.
+/// Runs one batch on the executor, arming the session fault plan around
+/// it when the batch opted in, and publishes per-slot outcomes.
 fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
     let Some(head) = batch.first() else {
         return;
     };
-    let names: Vec<String> = batch.iter().map(|s| s.name.clone()).collect();
     let mut resilience = inner.resilience.clone();
     if let Some(deadline_ms) = head.deadline_ms {
-        // the per-request budget propagates into the runner's existing
+        // the per-request budget propagates into the executor's existing
         // deadline machinery; when the session policy already carries a
         // deadline, the tighter one wins
         let request_s = deadline_ms as f64 / 1000.0;
@@ -978,14 +961,15 @@ fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
             None => request_s,
         });
     }
-    let options = RunOptions::builder()
-        .params(head.params)
-        .jobs(inner.jobs)
-        .cache(inner.cache.clone())
-        .preflight(inner.preflight)
-        .resilience(resilience)
-        .build();
-    let runner = Runner::new(inner.registry.clone(), options);
+    let settings = Batch {
+        registry: &inner.registry,
+        cache: &inner.cache,
+        jobs: inner.jobs,
+        preflight: inner.preflight,
+        params: head.params,
+        resilience,
+    };
+    let roots: Vec<Arc<dyn Experiment>> = batch.iter().map(|s| s.exp.clone()).collect();
 
     // batches run serially on this one scheduler thread, so arming the
     // process-global fault plane cannot leak into a clean batch. An
@@ -1000,55 +984,33 @@ fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
             stacksim_faults::arm(plan);
         }
     }
-    let result = runner.run(&names);
+    let outcome = settings.run(&roots);
     if armed_here {
         restore_fault_plane(inner);
     }
 
-    match result {
-        Ok(outcome) => {
-            // extract every slot's view first, then record the batch
-            // outcome *before* finishing any slot: the instant `finish`
-            // wakes a waiter, the waiter may call `drain_outcomes` and
-            // must already see this batch there
-            let finished: Vec<RequestOutcome> = batch
+    // extract every slot's view first, then record the batch outcome
+    // *before* finishing any slot: the instant `finish` wakes a waiter,
+    // the waiter may call `drain_outcomes` and must already see this
+    // batch there
+    let finished: Vec<RequestOutcome> = batch
+        .iter()
+        .map(|slot| {
+            let name = slot.exp.name();
+            let report = outcome
+                .report
+                .entries
                 .iter()
-                .map(|slot| {
-                    let report = outcome
-                        .report
-                        .entries
-                        .iter()
-                        .find(|e| e.name == slot.name)
-                        .cloned()
-                        .unwrap_or_else(|| missing_report(slot));
-                    let artifact = outcome.artifacts.get(&slot.name).cloned();
-                    RequestOutcome { report, artifact }
-                })
-                .collect();
-            inner.lock().outcomes.push(outcome);
-            for (slot, out) in batch.iter().zip(finished) {
-                finish_slot(inner, slot, out);
-            }
-        }
-        Err(e) => {
-            // a structural failure (unknown dep, cycle) fails every slot
-            // of the batch with the same root cause
-            let detail = e.to_string();
-            let kind = e.kind().to_string();
-            for slot in batch {
-                let mut report = missing_report(slot);
-                report.error = Some(detail.clone());
-                report.error_kind = Some(kind.clone());
-                finish_slot(
-                    inner,
-                    slot,
-                    RequestOutcome {
-                        report,
-                        artifact: None,
-                    },
-                );
-            }
-        }
+                .find(|e| e.name == name)
+                .cloned()
+                .unwrap_or_else(|| missing_report(slot));
+            let artifact = outcome.artifacts.get(name).cloned();
+            RequestOutcome { report, artifact }
+        })
+        .collect();
+    inner.lock().outcomes.push(outcome);
+    for (slot, out) in batch.iter().zip(finished) {
+        finish_slot(inner, slot, out);
     }
 }
 
@@ -1063,8 +1025,10 @@ fn restore_fault_plane(inner: &Inner) {
 }
 
 /// Publishes a slot's terminal outcome: journals it, counts it (and an
-/// expired deadline), and only then wakes every waiter, so a woken
-/// waiter's `stats()` already includes its own request.
+/// expired deadline), releases its admission slot and dedup entry in one
+/// step under the session lock, and only then wakes every waiter — so a
+/// woken waiter's `stats()` already includes its own request, and its
+/// next submission is neither shed nor deduplicated onto finished work.
 fn finish_slot(inner: &Inner, slot: &Slot, outcome: RequestOutcome) {
     if outcome.report.error_kind.as_deref() == Some("deadline") && stacksim_obs::enabled() {
         stacksim_obs::counter(super::obs::SERVE_DEADLINE_EXCEEDED).add(1);
@@ -1073,18 +1037,26 @@ fn finish_slot(inner: &Inner, slot: &Slot, outcome: RequestOutcome) {
         let _ = journal.record_done(slot.id, outcome.is_ok());
     }
     inner.completed.fetch_add(1, Ordering::Relaxed);
+    let mut st = inner.lock();
+    st.running = st.running.saturating_sub(1);
+    st.inflight.remove(&slot.dedup_key());
+    Inner::publish_inflight(&st);
+    drop(st);
     slot.finish(outcome);
 }
 
-/// A report row for a slot the runner produced no entry for (structural
-/// failure, or an invariant slip).
+/// A report row for a slot the executor produced no entry for (an
+/// invariant slip, or a panicking batch).
 fn missing_report(slot: &Slot) -> ExperimentReport {
     ExperimentReport {
-        name: slot.name.clone(),
+        name: slot.exp.name().to_string(),
         digest: slot.digest.clone(),
         cached: false,
         wall_s: 0.0,
-        error: Some(format!("experiment '{}' produced no report", slot.name)),
+        error: Some(format!(
+            "experiment '{}' produced no report",
+            slot.exp.name()
+        )),
         error_kind: Some("internal".to_string()),
         attempts: 0,
         quarantined: false,

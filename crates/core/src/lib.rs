@@ -18,9 +18,9 @@
 //! [`harness`] — `fig3`, `fig5` (and its twelve `fig5:<bench>` points),
 //! `fig6`, `fig8`, `fig11`, `table4`, `table5`, `headline` — which the
 //! `stacksim` CLI runs as a dependency-aware parallel fan-out with disk
-//! memoization and per-experiment telemetry. Prefer
-//! [`harness::run_one`] / [`harness::Runner`] over calling the study
-//! functions directly when you want caching, parallelism or a run report.
+//! memoization and per-experiment telemetry. Prefer a [`harness::Sim`]
+//! session over calling the study functions directly when you want
+//! caching, parallelism or a run report.
 //!
 //! **Migration note:** since the harness redesign every study entry point
 //! returns `Result<_, `[`Error`]`>` (previously they panicked on solver
@@ -39,13 +39,15 @@
 //! # Ok::<(), stacksim_core::Error>(())
 //! ```
 //!
-//! Or through the harness, memoized:
+//! Or through a harness session (add `.cache(..)` to memoize):
 //!
 //! ```no_run
-//! use stacksim_core::harness::run_one;
+//! use stacksim_core::harness::{ExperimentRequest, Sim};
 //! use stacksim_workloads::WorkloadParams;
 //!
-//! let artifact = run_one("table4", WorkloadParams::test())?;
+//! let sim = Sim::builder().params(WorkloadParams::test()).build();
+//! let outcome = sim.submit(&ExperimentRequest::new("table4"))?.wait();
+//! let artifact = outcome.artifact.as_ref();
 //! # Ok::<(), stacksim_core::Error>(())
 //! ```
 
@@ -61,8 +63,8 @@ pub mod sensitivity;
 pub mod stacking;
 
 pub mod prelude {
-    //! One-stop imports for driving the harness: the runner, the memo
-    //! cache, the `Sim` session types, and the workload parameters.
+    //! One-stop imports for driving the harness: the `Sim` session types,
+    //! the memo cache, the run report, and the workload parameters.
     //!
     //! ```
     //! use stacksim_core::prelude::*;
@@ -75,9 +77,9 @@ pub mod prelude {
 
     pub use crate::error::Error;
     pub use crate::harness::{
-        default_cache_dir, run_one, Artifact, ExperimentReport, ExperimentRequest, MemoCache,
+        default_cache_dir, Artifact, ExperimentReport, ExperimentRequest, MemoCache,
         MemoCacheBuilder, Registry, RequestHandle, RequestOutcome, RequestStatus, Resilience,
-        RunOptions, RunOptionsBuilder, RunOutcome, RunReport, Runner, Sim, SimBuilder, SimStats,
+        RunOutcome, RunReport, Sim, SimBuilder, SimStats,
     };
     pub use stacksim_workloads::{Scale, WorkloadParams, WorkloadParamsBuilder};
 }

@@ -4,8 +4,11 @@
 //! mutex while it checks the in-flight table and, on a miss, creates a
 //! slot and queues it — check and insert are one critical section. The
 //! scheduler thread drains the queue, runs the batch, and completes
-//! each slot exactly once; waiters block on the slot until it leaves
-//! the queued/running states. [`DedupModel`] models that machine with
+//! each slot exactly once in `finish_slot`, which drops the slot's
+//! in-flight entry (and its admission count) under the same session
+//! lock before it marks the slot done and wakes its waiters. The model
+//! folds that release and the completion into one scheduler step;
+//! waiters block on the slot until it leaves the queued/running states. [`DedupModel`] models that machine with
 //! two submitters racing on the same digest plus the scheduler, and
 //! asserts the experiment executes exactly once and every waiter
 //! resolves. The `atomic_submit: false` variant splits the check and
@@ -195,7 +198,8 @@ impl DedupModel {
             st.slots[slot] = SlotState::Running;
             st.executions += 1;
             st.slots[slot] = SlotState::Done;
-            // Completion removes the digest from the in-flight table.
+            // Completion removes the digest from the in-flight table
+            // (`finish_slot` releases it before waking any waiter).
             if st.inflight == Some(slot) {
                 st.inflight = None;
             }

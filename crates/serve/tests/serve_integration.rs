@@ -13,7 +13,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use stacksim_core::harness::json::Json;
-use stacksim_core::harness::{run_one, ExperimentRequest, MemoCache};
+use stacksim_core::harness::{Artifact, ExperimentRequest, MemoCache};
+use stacksim_core::sensitivity;
 use stacksim_serve::{ServeOptions, Server};
 use stacksim_workloads::WorkloadParams;
 
@@ -67,8 +68,8 @@ fn daemon_serves_bit_identical_artifacts_and_drains_cleanly() {
     assert_eq!(code, 200);
     assert!(body.contains("\"status\":\"ok\""), "{body}");
 
-    // the reference result: the plain in-process path, no service at all
-    let direct = run_one("fig3", WorkloadParams::test()).expect("direct fig3");
+    // the reference result: the study function itself, no harness at all
+    let direct = Artifact::Fig3(sensitivity::fig3().expect("direct fig3"));
 
     // submit over HTTP, wait, and fetch the artifact
     let (code, body) = request(

@@ -53,7 +53,7 @@ use std::time::Duration;
 use stacksim::bench::perf::BenchOptions;
 use stacksim::core::harness::{
     check, default_cache_dir, obs_report, render, resilience, ExperimentRequest, FailureReport,
-    MemoCache, Registry, Resilience, RunOutcome, RunReport, Sim,
+    MemoCache, Registry, Resilience, RunOutcome, Sim,
 };
 use stacksim::core::{fmt_f, TextTable};
 use stacksim::explore::SearchMode;
@@ -659,8 +659,9 @@ fn run(o: Opts) -> Result<ExitCode, String> {
     }
     // `run` is a thin in-process client of the same `Sim` session API the
     // `serve` daemon speaks: submit everything while paused, resume so
-    // the whole selection lands in one batched runner invocation, then
-    // collect the classic batch-level outcome for rendering.
+    // the whole selection lands in one batch (every request shares the
+    // params, fault setting and deadline), then collect that batch's
+    // outcome for rendering.
     let sim = Sim::builder()
         .params(params)
         .jobs(o.jobs)
@@ -685,13 +686,19 @@ fn run(o: Opts) -> Result<ExitCode, String> {
         .iter()
         .map(|name| sim.submit(&ExperimentRequest::new(name)))
         .collect();
-    let outcome = submitted.map(|handles| {
+    let outcome = submitted.map_err(|e| e.to_string()).and_then(|handles| {
         sim.resume();
         for handle in &handles {
             let _ = handle.wait();
         }
         sim.shutdown();
-        merge_outcomes(sim.drain_outcomes())
+        let [outcome]: [RunOutcome; 1] = sim.drain_outcomes().try_into().map_err(|b: Vec<_>| {
+            format!(
+                "expected the selection to run as one batch, got {}",
+                b.len()
+            )
+        })?;
+        Ok(outcome)
     });
     if let Some(path) = &o.fault_plan {
         println!(
@@ -710,7 +717,7 @@ fn run(o: Opts) -> Result<ExitCode, String> {
             println!("event log written to {}", path.display());
         }
     }
-    let outcome = outcome.map_err(|e| e.to_string())?;
+    let outcome = outcome?;
 
     let mut t = TextTable::new(["experiment", "status", "wall s", "CG iters", "trace refs"]);
     for entry in &outcome.report.entries {
@@ -788,31 +795,6 @@ fn exit_status(ok: bool) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Folds the session's batch-level outcomes into one — for a `run`
-/// invocation everything lands in a single batch, so this is the exact
-/// outcome the pre-session `Runner` path produced.
-fn merge_outcomes(outcomes: Vec<RunOutcome>) -> RunOutcome {
-    let mut it = outcomes.into_iter();
-    let Some(mut merged) = it.next() else {
-        return RunOutcome {
-            report: RunReport {
-                jobs: 0,
-                wall_s: 0.0,
-                entries: Vec::new(),
-            },
-            artifacts: std::collections::HashMap::new(),
-            errors: Vec::new(),
-        };
-    };
-    for outcome in it {
-        merged.report.wall_s += outcome.report.wall_s;
-        merged.report.entries.extend(outcome.report.entries);
-        merged.artifacts.extend(outcome.artifacts);
-        merged.errors.extend(outcome.errors);
-    }
-    merged
 }
 
 /// `stacksim explore`: search a declarative design space for its Pareto

@@ -1,4 +1,4 @@
-//! Integration: deterministic fault injection and the runner's resilience
+//! Integration: deterministic fault injection and the harness's resilience
 //! layer — the solver degradation ladder, transient retry, cache
 //! quarantine, per-experiment deadlines and the machine-readable failure
 //! report — spanning `stacksim-faults`, `stacksim-core` and
@@ -8,12 +8,14 @@
 //! serializes on [`LOCK`] and disarms via the panic-safe [`ArmedPlan`]
 //! guard.
 
+mod common;
+
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use stacksim::core::harness::{
     Artifact, Ctx, Digest, Experiment, FailureReport, MemoCache, ParamSensitivity, Registry,
-    Resilience, RunOptions, RunOutcome, Runner,
+    Resilience, RunOutcome, Sim,
 };
 use stacksim::core::{sensitivity, Error, Headline};
 use stacksim::faults::{self, Fault, FaultPlan, FaultRule};
@@ -61,16 +63,12 @@ fn run_custom(exp: Arc<dyn Experiment>, cache: MemoCache, resilience: Resilience
     let name = exp.name().to_string();
     let mut registry = Registry::new();
     registry.add(exp);
-    Runner::new(
-        registry,
-        RunOptions::builder()
-            .serial()
-            .cache(cache)
-            .resilience(resilience)
-            .build(),
-    )
-    .run(&[name])
-    .expect("selection is valid")
+    let builder = Sim::builder()
+        .registry(registry)
+        .jobs(1)
+        .cache(cache)
+        .resilience(resilience);
+    common::run_batch(builder, &[&name]).expect("selection is valid")
 }
 
 /// Fig3 on the golden nx=20 ny=17 grid — the experiment the fault plans

@@ -2,7 +2,7 @@
 //! daemon is SIGKILLed with an accepted request still in flight; on
 //! restart the journal replays it (`journal.replayed` > 0), the memo
 //! cache makes the replay idempotent, and the recovered artifact is
-//! byte-identical to the plain in-process path.
+//! byte-identical to the study function called directly.
 
 use std::io::{BufRead as _, BufReader, Read as _, Write as _};
 use std::net::TcpStream;
@@ -11,8 +11,8 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use stacksim::core::harness::json::Json;
-use stacksim::core::harness::run_one;
-use stacksim::workloads::WorkloadParams;
+use stacksim::core::harness::Artifact;
+use stacksim::core::sensitivity;
 
 fn scratch_dir() -> PathBuf {
     let dir = std::env::temp_dir().join(format!("stacksim-crash-it-{}", std::process::id()));
@@ -184,8 +184,8 @@ fn a_killed_daemon_recovers_its_accepted_work_from_the_journal() {
     assert_eq!(code, 200);
 
     // the recovery path cost nothing extra and changed nothing: the
-    // artifact is byte-identical to the plain in-process path
-    let direct = run_one("fig3", WorkloadParams::test()).expect("direct fig3");
+    // artifact is byte-identical to the study function called directly
+    let direct = Artifact::Fig3(sensitivity::fig3().expect("direct fig3"));
     assert_eq!(
         via_recovery,
         direct.encode(),

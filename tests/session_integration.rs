@@ -1,10 +1,12 @@
 //! Integration: the `Sim` session facade — request deduplication,
 //! parameterised variants, warm-cache serving and graceful shutdown —
-//! spanning `stacksim-core`'s session, runner and cache layers.
+//! spanning `stacksim-core`'s session, executor and cache layers.
 
 use std::path::PathBuf;
 
+use stacksim::core::memory_logic::run_benchmark_instrumented;
 use stacksim::core::prelude::*;
+use stacksim::workloads::RmsBenchmark;
 
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("stacksim-session-{tag}-{}", std::process::id()));
@@ -66,6 +68,25 @@ fn completed_counts_a_request_before_its_waiter_wakes() {
     }
 }
 
+/// With room for one request, a client that submits its next request
+/// right after `wait()` returns is never shed: a finished request gives
+/// back its admission slot before its waiters wake. Repeated because a
+/// late release only shows up when the waiter outruns the scheduler.
+#[test]
+fn a_finished_request_frees_its_admission_slot_before_waking() {
+    let sim = Sim::builder()
+        .params(WorkloadParams::test())
+        .max_pending(1)
+        .build();
+    for seed in 0..30u64 {
+        let handle = sim
+            .submit(&ExperimentRequest::new("fig5:gauss").seed(seed))
+            .unwrap_or_else(|e| panic!("round {seed} was shed: {e}"));
+        let outcome = handle.wait();
+        assert!(outcome.is_ok(), "{:?}", outcome.report.error);
+    }
+}
+
 /// Parameterised variants are first-class: an override folds into the
 /// digest, so variants neither deduplicate nor share cache entries.
 #[test]
@@ -101,7 +122,7 @@ fn parameter_overrides_split_the_digest() {
     assert!(!b.report.cached && !v.report.cached);
     assert_eq!(b.report.attempts, 1);
     assert_eq!(v.report.attempts, 1);
-    // two parameter groups → two runner batches
+    // two parameter groups → two batches
     assert_eq!(sim.drain_outcomes().len(), 2);
 }
 
@@ -135,13 +156,14 @@ fn completed_request_resubmission_hits_the_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The embedded `Sim` path produces byte-for-byte the artifact the
-/// plain `run_one` path produces — the embed-or-serve split does not
-/// perturb results.
+/// The embedded `Sim` path produces byte-for-byte the artifact the study
+/// function produces when called directly, bypassing the harness — the
+/// session's scheduling does not perturb results.
 #[test]
-fn sim_artifact_matches_run_one_bit_for_bit() {
+fn sim_artifact_matches_the_study_function_bit_for_bit() {
     let params = WorkloadParams::test();
-    let direct = run_one("fig5:conj", params).unwrap();
+    let (row, _) = run_benchmark_instrumented(RmsBenchmark::Conj, &params).unwrap();
+    let direct = Artifact::Fig5Row(row);
 
     let sim = Sim::builder().params(params).build();
     let outcome = sim
@@ -195,7 +217,7 @@ fn admission_bound_sheds_and_releases() {
         .max_pending(2)
         .build();
     let first = sim.submit(&ExperimentRequest::new("fig5:gauss")).unwrap();
-    let _second = sim.submit(&ExperimentRequest::new("fig5:pcg")).unwrap();
+    let second = sim.submit(&ExperimentRequest::new("fig5:pcg")).unwrap();
     // at the bound: a distinct third submission is shed...
     let err = sim
         .submit(&ExperimentRequest::new("fig5:conj"))
@@ -208,7 +230,9 @@ fn admission_bound_sheds_and_releases() {
 
     // completion releases slots: the shed request is admitted on retry
     sim.resume();
-    sim.wait_idle();
+    first.wait();
+    second.wait();
+    assert_eq!(sim.stats().inflight, 0, "both slots released on completion");
     let retried = sim.submit(&ExperimentRequest::new("fig5:conj")).unwrap();
     assert!(retried.wait().is_ok());
 }
@@ -293,7 +317,7 @@ fn wait_timeout_is_bounded() {
     assert!(outcome.is_ok(), "{:?}", outcome.report.error);
 }
 
-/// A fault-injected panic inside the runner's dispatch neither wedges
+/// A fault-injected panic inside the executor's dispatch neither wedges
 /// the scheduler nor leaks into clean work: every queued handle
 /// resolves, the doomed request reports `worker-panic` after its full
 /// retry budget, the clean twin of the same experiment succeeds, and
@@ -350,8 +374,6 @@ fn injected_dispatch_panic_resolves_every_handle() {
         .unwrap()
         .wait();
     assert!(after.is_ok(), "{:?}", after.report.error);
-    // `wait()` resolves on slot completion; the scheduler's batch
-    // bookkeeping (the `running` gauge) settles at idle
-    sim.wait_idle();
+    // a slot releases its admission count before its waiters wake
     assert_eq!(sim.stats().inflight, 0, "nothing left queued or running");
 }
