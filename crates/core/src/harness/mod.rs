@@ -65,4 +65,5 @@ pub use resilience::{FailureEntry, FailureReport, Resilience, SolverDegrade};
 pub use runner::{ExperimentReport, RunOutcome, RunReport};
 pub use session::{
     ExperimentRequest, RequestHandle, RequestOutcome, RequestStatus, Sim, SimBuilder, SimStats,
+    MAX_UNDRAINED_OUTCOMES,
 };

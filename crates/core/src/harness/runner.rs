@@ -8,7 +8,9 @@
 //! nothing here can fail structurally. Each experiment first consults
 //! the memo cache; a hit skips the run entirely (telemetry shows zero
 //! solver iterations), a miss runs, records telemetry and stores the
-//! artifact.
+//! artifact. Each finished experiment's row and artifact go to the
+//! caller's [`OnFinish`] hook the moment it finishes, so a request
+//! resolves when its own experiment does, not when its whole batch does.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -193,6 +195,12 @@ pub(super) struct Batch<'a> {
     pub(super) resilience: Resilience,
 }
 
+/// Called once per experiment of a batch as soon as it finishes (ran,
+/// cached, failed, or skipped because a dependency failed) with its
+/// report row and artifact. It runs on the worker that finished the
+/// experiment, after the batch's state lock is released.
+pub(super) type OnFinish<'f> = &'f (dyn Fn(&ExperimentReport, Option<&Arc<Artifact>>) + Sync);
+
 /// One selected experiment's scheduling state.
 struct Node {
     exp: Arc<dyn Experiment>,
@@ -230,8 +238,10 @@ impl State {
         }
     }
 
-    /// Skips every transitive dependent of the failed experiment `root`.
-    fn fail_dependents(&mut self, root: usize, root_name: &str) {
+    /// Skips every transitive dependent of the failed experiment `root`
+    /// and returns the skip rows.
+    fn fail_dependents(&mut self, root: usize, root_name: &str) -> Vec<ExperimentReport> {
+        let mut skipped = Vec::new();
         let mut queue: VecDeque<usize> = self
             .nodes
             .get(root)
@@ -253,8 +263,10 @@ impl State {
             let mut report = ExperimentReport::blank(&name, String::new());
             report.error = Some(skip.to_string());
             report.error_kind = Some(skip.kind().to_string());
+            skipped.push(report.clone());
             queue.extend(self.finish(at, report, true));
         }
+        skipped
     }
 }
 
@@ -271,9 +283,11 @@ impl Batch<'_> {
     /// Runs `roots` plus their transitive dependencies and returns artifacts
     /// and telemetry. Failures inside experiments do not abort the batch:
     /// they are recorded in [`RunOutcome::errors`] and the report, and every
-    /// dependent of a failed experiment is skipped. Report rows come in
+    /// dependent of a failed experiment is skipped. Every row, skips
+    /// included, goes to `on_finish` as soon as it exists; all calls
+    /// have returned by the time this does. Report rows come in
     /// registration order.
-    pub(super) fn run(&self, roots: &[Arc<dyn Experiment>]) -> RunOutcome {
+    pub(super) fn run(&self, roots: &[Arc<dyn Experiment>], on_finish: OnFinish<'_>) -> RunOutcome {
         let start = Instant::now();
         let selection = self.registry.closure(roots);
         let total = selection.len();
@@ -326,7 +340,7 @@ impl Batch<'_> {
         let workers = jobs.min(total.max(1));
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| self.worker(&state, &cv));
+                scope.spawn(|| self.worker(&state, &cv, on_finish));
             }
         });
 
@@ -347,7 +361,7 @@ impl Batch<'_> {
         }
     }
 
-    fn worker(&self, state: &Mutex<State>, cv: &Condvar) {
+    fn worker(&self, state: &Mutex<State>, cv: &Condvar, on_finish: OnFinish<'_>) {
         loop {
             let next = {
                 let mut st = lock(state);
@@ -376,13 +390,18 @@ impl Batch<'_> {
                     .collect()
             };
             let (report, result) = self.execute(exp.as_ref(), deps);
+            let row = report.clone();
 
             let mut guard = lock(state);
             let st = &mut *guard;
             let name = exp.name();
+            // the rows this step finished, handed on once the lock is gone
+            let mut finished = Vec::new();
             match result {
                 Ok(artifact) => {
-                    st.results.insert(name.to_string(), Arc::new(artifact));
+                    let artifact = Arc::new(artifact);
+                    st.results.insert(name.to_string(), artifact.clone());
+                    finished.push((row, Some(artifact)));
                     for d in st.finish(at, report, false) {
                         if let Some(node) = st.nodes.get_mut(d) {
                             node.waiting -= 1;
@@ -393,13 +412,18 @@ impl Batch<'_> {
                     }
                 }
                 Err(error) => {
+                    finished.push((row, None));
                     st.finish(at, report, true);
                     st.errors.push((name.to_string(), error));
-                    st.fail_dependents(at, name);
+                    let skipped = st.fail_dependents(at, name);
+                    finished.extend(skipped.into_iter().map(|row| (row, None)));
                 }
             }
             drop(guard);
             cv.notify_all();
+            for (row, artifact) in &finished {
+                on_finish(row, artifact.as_ref());
+            }
         }
     }
 

@@ -34,15 +34,21 @@
 //!   process-global fault plane.
 //! * **Done** — the handle yields a [`RequestOutcome`]: the per-request
 //!   [`ExperimentReport`] (telemetry, cache/attempt accounting) and the
-//!   artifact on success. A request releases its admission slot and its
-//!   dedup entry before its waiters wake.
+//!   artifact on success. A request finishes as soon as its own
+//!   experiment does (or, skipped, as soon as the dependency that doomed
+//!   it fails), on the executor worker that finished it — not when the
+//!   rest of its batch does. The one exception is the batch's last
+//!   request: it finishes after the batch's [`RunOutcome`] is recorded,
+//!   so waiting on every handle of a batch and then calling
+//!   [`Sim::drain_outcomes`] returns that batch. A request releases its
+//!   admission slot and its dedup entry before its waiters wake.
 //!
 //! Dropping the `Sim` (or calling [`Sim::shutdown`]) drains: everything
 //! already submitted still runs to completion before the scheduler exits.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 use stacksim_faults::FaultPlan;
 use stacksim_workloads::{Scale, WorkloadParams};
@@ -251,8 +257,8 @@ impl ExperimentRequest {
 pub enum RequestStatus {
     /// Accepted, waiting for the scheduler to batch it.
     Queued,
-    /// Picked up by the scheduler; the experiment (or its batch) is
-    /// running.
+    /// Picked up by the scheduler; its batch is running and its own
+    /// experiment has not finished yet.
     Running,
     /// Finished — [`RequestHandle::try_outcome`] yields the result.
     Done,
@@ -398,7 +404,11 @@ impl RequestHandle {
         }
     }
 
-    /// Blocks until the request finishes and returns its outcome.
+    /// Blocks until the request finishes and returns its outcome. That is
+    /// when its own experiment finishes, even if other requests of its
+    /// batch are still running; only once every handle of a batch has
+    /// returned is the batch's outcome sure to be in
+    /// [`Sim::drain_outcomes`].
     pub fn wait(&self) -> Arc<RequestOutcome> {
         let mut st = self.slot.lock();
         loop {
@@ -453,15 +463,23 @@ pub struct SimStats {
     pub completed: u64,
 }
 
+/// Undrained batch outcomes a session keeps; older ones are dropped
+/// first. A session nobody drains (the `serve` daemon) would otherwise
+/// hold every batch's report and artifacts forever, while a caller that
+/// does drain (a cold exploration drains after about ten batches) never
+/// comes near the bound.
+pub const MAX_UNDRAINED_OUTCOMES: usize = 256;
+
 /// Scheduler bookkeeping, behind the session mutex.
 struct SchedState {
     /// Submitted slots the scheduler has not picked up yet, in order.
     pending: Vec<Arc<Slot>>,
     /// Queued *or running* slots by [`DedupKey`].
     inflight: HashMap<DedupKey, Arc<Slot>>,
-    /// Raw outcomes of every batch, for callers that want the
-    /// batch-level report (the CLI).
-    outcomes: Vec<RunOutcome>,
+    /// Raw outcomes of the latest [`MAX_UNDRAINED_OUTCOMES`] batches not
+    /// drained yet, for callers that want the batch-level report (the
+    /// CLI, explore's perf harness).
+    outcomes: VecDeque<RunOutcome>,
     /// Slots taken into a batch and not finished yet.
     running: usize,
     paused: bool,
@@ -660,7 +678,7 @@ impl SimBuilder {
             state: Mutex::new(SchedState {
                 pending: Vec::new(),
                 inflight: HashMap::new(),
-                outcomes: Vec::new(),
+                outcomes: VecDeque::new(),
                 running: 0,
                 paused: self.start_paused,
                 shutdown: false,
@@ -821,10 +839,17 @@ impl Sim {
     }
 
     /// Takes the accumulated batch-level [`RunOutcome`]s (one per batch
-    /// the scheduler ran). The CLI uses this to render the classic run
-    /// report; per-request callers use [`RequestHandle`]s.
+    /// the scheduler ran, oldest first; only the latest
+    /// [`MAX_UNDRAINED_OUTCOMES`] are kept). The CLI uses this to render
+    /// the classic run report; per-request callers use
+    /// [`RequestHandle`]s.
+    ///
+    /// A batch's outcome is recorded before its last request finishes,
+    /// while its other requests may finish earlier. So after waiting on
+    /// every handle of a batch, this returns that batch, rows in
+    /// registration order.
     pub fn drain_outcomes(&self) -> Vec<RunOutcome> {
-        std::mem::take(&mut self.inner.lock().outcomes)
+        std::mem::take(&mut self.inner.lock().outcomes).into()
     }
 
     /// A snapshot of the session's request accounting.
@@ -925,27 +950,19 @@ fn scheduler_loop(inner: &Inner) {
                 if matches!(&*slot.lock(), SlotState::Done(_)) {
                     continue;
                 }
-                let mut report = missing_report(slot);
-                report.error = Some(format!(
-                    "scheduler batch panicked while running '{}'",
-                    slot.exp.name()
-                ));
-                report.error_kind = Some("worker-panic".to_string());
-                finish_slot(
-                    inner,
-                    slot,
-                    RequestOutcome {
-                        report,
-                        artifact: None,
-                    },
-                );
+                let outcome = RequestOutcome {
+                    report: panicked_report(slot),
+                    artifact: None,
+                };
+                finish_slot(inner, slot, outcome);
             }
         }
     }
 }
 
 /// Runs one batch on the executor, arming the session fault plan around
-/// it when the batch opted in, and publishes per-slot outcomes.
+/// it when the batch opted in. Each slot finishes as its experiment
+/// does; the last one after the batch outcome is recorded.
 fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
     let Some(head) = batch.first() else {
         return;
@@ -971,6 +988,30 @@ fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
     };
     let roots: Vec<Arc<dyn Experiment>> = batch.iter().map(|s| s.exp.clone()).collect();
 
+    // each slot finishes the moment its experiment does, except the
+    // batch's last one: it waits until the batch outcome is recorded, so
+    // a caller that waited on every handle then drains sees this batch.
+    // A batch never holds two slots of one name (same name, params,
+    // faults and deadline is one dedup key).
+    let by_name: HashMap<&str, &Arc<Slot>> = batch.iter().map(|s| (s.exp.name(), s)).collect();
+    let unfinished = AtomicUsize::new(batch.len());
+    let last = OnceLock::new();
+    let on_finish = |row: &ExperimentReport, artifact: Option<&Arc<Artifact>>| {
+        // rows of dependencies nobody requested have no slot
+        let Some(&slot) = by_name.get(row.name.as_str()) else {
+            return;
+        };
+        let outcome = RequestOutcome {
+            report: row.clone(),
+            artifact: artifact.cloned(),
+        };
+        if unfinished.fetch_sub(1, Ordering::AcqRel) == 1 {
+            let _ = last.set((slot, outcome));
+        } else {
+            finish_slot(inner, slot, outcome);
+        }
+    };
+
     // batches run serially on this one scheduler thread, so arming the
     // process-global fault plane cannot leak into a clean batch. An
     // opted-in batch sees the experiment plan *plus* any ambient
@@ -984,33 +1025,19 @@ fn run_batch(inner: &Inner, batch: &[Arc<Slot>]) {
             stacksim_faults::arm(plan);
         }
     }
-    let outcome = settings.run(&roots);
+    let outcome = settings.run(&roots, &on_finish);
     if armed_here {
         restore_fault_plane(inner);
     }
 
-    // extract every slot's view first, then record the batch outcome
-    // *before* finishing any slot: the instant `finish` wakes a waiter,
-    // the waiter may call `drain_outcomes` and must already see this
-    // batch there
-    let finished: Vec<RequestOutcome> = batch
-        .iter()
-        .map(|slot| {
-            let name = slot.exp.name();
-            let report = outcome
-                .report
-                .entries
-                .iter()
-                .find(|e| e.name == name)
-                .cloned()
-                .unwrap_or_else(|| missing_report(slot));
-            let artifact = outcome.artifacts.get(name).cloned();
-            RequestOutcome { report, artifact }
-        })
-        .collect();
-    inner.lock().outcomes.push(outcome);
-    for (slot, out) in batch.iter().zip(finished) {
-        finish_slot(inner, slot, out);
+    let mut st = inner.lock();
+    if st.outcomes.len() >= MAX_UNDRAINED_OUTCOMES {
+        st.outcomes.pop_front();
+    }
+    st.outcomes.push_back(outcome);
+    drop(st);
+    if let Some((slot, outcome)) = last.into_inner() {
+        finish_slot(inner, slot, outcome);
     }
 }
 
@@ -1045,19 +1072,18 @@ fn finish_slot(inner: &Inner, slot: &Slot, outcome: RequestOutcome) {
     slot.finish(outcome);
 }
 
-/// A report row for a slot the executor produced no entry for (an
-/// invariant slip, or a panicking batch).
-fn missing_report(slot: &Slot) -> ExperimentReport {
+/// The report row for a slot a panicking batch left unfinished.
+fn panicked_report(slot: &Slot) -> ExperimentReport {
     ExperimentReport {
         name: slot.exp.name().to_string(),
         digest: slot.digest.clone(),
         cached: false,
         wall_s: 0.0,
         error: Some(format!(
-            "experiment '{}' produced no report",
+            "scheduler batch panicked while running '{}'",
             slot.exp.name()
         )),
-        error_kind: Some("internal".to_string()),
+        error_kind: Some("worker-panic".to_string()),
         attempts: 0,
         quarantined: false,
         fallback: None,

@@ -10,8 +10,10 @@
 //!   sense-reversing generation protocol, including proof that the
 //!   reset-before-release ordering is load-bearing.
 //! * [`dedup::DedupModel`] — the serve session's dedup-slot state
-//!   machine, including proof that the check-then-insert in `submit()`
-//!   must stay under one lock.
+//!   machine with slots finishing from executor workers mid-batch,
+//!   including proof that the check-then-insert in `submit()` must stay
+//!   under one lock and that the batch's last slot must wait for the
+//!   batch outcome to be recorded.
 //!
 //! Fast configurations run as ordinary unit tests; `cargo xtask loom`
 //! runs the full sweep below (larger thread/round counts) and is wired
@@ -63,14 +65,13 @@ pub fn run_all() -> Result<String, String> {
         }
     }
 
-    let model = DedupModel {
-        atomic_submit: true,
-    };
+    let model = DedupModel::correct();
     let stats = explore(&model)?;
     lines.push(summary(model_name(&model), stats));
 
     let split = DedupModel {
         atomic_submit: false,
+        defer_last: true,
     };
     match explore(&split) {
         Err(e) if e.contains("execution") => lines.push(format!(
@@ -85,6 +86,27 @@ pub fn run_all() -> Result<String, String> {
         Ok(_) => {
             return Err(
                 "split-submit dedup variant explored clean; the explorer is unsound".to_string(),
+            )
+        }
+    }
+
+    let eager = DedupModel {
+        atomic_submit: true,
+        defer_last: false,
+    };
+    match explore(&eager) {
+        Err(e) if e.contains("before its outcome was recorded") => lines.push(format!(
+            "{} [eager last slot]: counterexample found as expected",
+            model_name(&eager)
+        )),
+        Err(e) => {
+            return Err(format!(
+                "eager-last-slot model failed for the wrong reason: {e}"
+            ))
+        }
+        Ok(_) => {
+            return Err(
+                "eager-last-slot dedup variant explored clean; the explorer is unsound".to_string(),
             )
         }
     }

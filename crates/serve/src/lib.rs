@@ -37,6 +37,9 @@
 //! configured, every accepted request is durably appended before the
 //! submit response and replayed at boot after a crash; the memo cache
 //! makes replay idempotent, so recovered artifacts are bit-identical.
+//! The daemon answers for its latest 1024 finished requests; a `GET`
+//! for an older id answers `404`, and resubmitting it is a memo-cache
+//! hit.
 //!
 //! `POST /v1/explore` accepts `{"spec": {..}, "mode": "grid", "budget":
 //! N, "seed": N}` (every field optional) and runs the search in a
@@ -136,9 +139,49 @@ impl Default for ServeOptions {
     }
 }
 
+/// Finished requests the daemon keeps answering for. Beyond this the
+/// oldest are forgotten: their status and artifact GETs answer 404, and
+/// resubmitting is a memo-cache hit.
+const MAX_FINISHED_REQUESTS: usize = 1024;
+
 /// Requests the daemon has accepted, by id, shared across connection
-/// workers. A `BTreeMap` keeps iteration order deterministic.
-type RequestMap = Arc<Mutex<BTreeMap<u64, RequestHandle>>>;
+/// workers. Ids grow with submission order, so the map iterates oldest
+/// first. It holds every unfinished request and at most
+/// [`MAX_FINISHED_REQUESTS`] finished ones.
+#[derive(Debug, Default)]
+struct RequestMap {
+    handles: Mutex<BTreeMap<u64, RequestHandle>>,
+}
+
+impl RequestMap {
+    /// Tracks `handle` (a deduplicated submission replaces its own
+    /// entry), then evicts the oldest finished requests beyond the cap.
+    fn insert(&self, handle: RequestHandle) {
+        let mut handles = self.handles.lock().unwrap_or_else(PoisonError::into_inner);
+        handles.insert(handle.id(), handle);
+        let excess = handles.len().saturating_sub(MAX_FINISHED_REQUESTS);
+        if excess == 0 {
+            return;
+        }
+        let evicted: Vec<u64> = handles
+            .iter()
+            .filter(|(_, h)| h.status() == RequestStatus::Done)
+            .map(|(&id, _)| id)
+            .take(excess)
+            .collect();
+        for id in evicted {
+            handles.remove(&id);
+        }
+    }
+
+    fn get(&self, id: u64) -> Option<RequestHandle> {
+        self.handles
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&id)
+            .cloned()
+    }
+}
 
 /// What `POST /v1/explore` builds its short-lived sessions from: the
 /// server's own cache, base parameters and job count, so explorations
@@ -155,7 +198,7 @@ struct ExploreEnv {
 pub struct Server {
     listener: TcpListener,
     sim: Arc<Sim>,
-    requests: RequestMap,
+    requests: Arc<RequestMap>,
     pool: usize,
     max_conns: usize,
     io_timeout: Duration,
@@ -246,7 +289,7 @@ impl Server {
         let server = Server {
             listener,
             sim: Arc::new(sim),
-            requests: Arc::new(Mutex::new(BTreeMap::new())),
+            requests: Arc::default(),
             pool: options.pool.clamp(1, 64),
             max_conns: options.max_conns,
             io_timeout: options.io_timeout,
@@ -269,10 +312,7 @@ impl Server {
             loop {
                 match self.sim.submit(&request) {
                     Ok(handle) => {
-                        self.requests
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .insert(handle.id(), handle);
+                        self.requests.insert(handle);
                         stacksim_obs::counter(harness_obs::JOURNAL_REPLAYED).add(1);
                         break;
                     }
@@ -490,10 +530,7 @@ fn submit(stream: &mut TcpStream, sim: &Sim, requests: &RequestMap, request: &Re
             return;
         }
     };
-    requests
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .insert(handle.id(), handle.clone());
+    requests.insert(handle.clone());
     let body = Json::obj(vec![
         ("id", Json::Num(handle.id() as f64)),
         ("experiment", Json::Str(handle.name().to_string())),
@@ -659,15 +696,95 @@ fn artifact(stream: &mut TcpStream, requests: &RequestMap, id_text: &str) {
 }
 
 fn lookup(requests: &RequestMap, id_text: &str) -> Option<RequestHandle> {
-    let id: u64 = id_text.parse().ok()?;
-    requests
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&id)
-        .cloned()
+    requests.get(id_text.parse().ok()?)
 }
 
 fn error_response(stream: &mut TcpStream, code: u16, detail: &str) {
     let body = Json::obj(vec![("error", Json::Str(detail.to_string()))]);
     respond(stream, code, "application/json", &body.encode());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use stacksim_core::harness::MAX_UNDRAINED_OUTCOMES;
+    use std::io::{Read as _, Write as _};
+
+    /// The status code of one close-after-response `GET`.
+    fn get(addr: SocketAddr, path: &str) -> u16 {
+        let mut stream = TcpStream::connect(addr).expect("connect to daemon");
+        let message = format!("GET {path} HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n");
+        stream.write_all(message.as_bytes()).expect("send request");
+        let mut text = String::new();
+        stream.read_to_string(&mut text).expect("read response");
+        text.split_ascii_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .unwrap_or_else(|| panic!("unparseable response: {text:?}"))
+    }
+
+    /// A daemon nobody drains keeps at most `MAX_FINISHED_REQUESTS`
+    /// finished requests and `MAX_UNDRAINED_OUTCOMES` batch outcomes,
+    /// dropping the oldest first; an evicted id answers 404.
+    #[test]
+    fn finished_requests_and_batch_outcomes_are_bounded() {
+        let dir =
+            std::env::temp_dir().join(format!("stacksim-serve-bounds-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = ServeOptions {
+            addr: "127.0.0.1:0".to_string(),
+            pool: 1,
+            jobs: 1,
+            params: WorkloadParams::test(),
+            cache: MemoCache::builder().dir(&dir).shards(4).build(),
+            ..ServeOptions::default()
+        };
+        let server = Server::bind(options).expect("bind on a free port");
+        let addr = server.local_addr().expect("bound address");
+
+        // one request at a time, so each is its own batch; all but the
+        // first are memo-cache hits, and the last is a different one
+        let total = MAX_FINISHED_REQUESTS + 8;
+        let mut ids = Vec::with_capacity(total);
+        for i in 0..total {
+            let name = if i + 1 == total {
+                "fig5:sUS"
+            } else {
+                "fig5:sAVDF"
+            };
+            let handle = server.sim().submit(&ExperimentRequest::new(name)).unwrap();
+            server.requests.insert(handle.clone());
+            assert!(handle.wait().is_ok(), "request {i}");
+            ids.push(handle.id());
+        }
+        let tracked = server.requests.handles.lock().unwrap().len();
+        assert_eq!(
+            tracked, MAX_FINISHED_REQUESTS,
+            "finished handles are capped"
+        );
+        let outcomes = server.sim().drain_outcomes();
+        assert_eq!(
+            outcomes.len(),
+            MAX_UNDRAINED_OUTCOMES,
+            "outcomes are capped"
+        );
+        let newest = outcomes.last().map(|o| o.report.entries[0].name.as_str());
+        assert_eq!(newest, Some("fig5:sUS"), "the oldest outcomes went first");
+
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let flag = shutdown.clone();
+        let daemon = std::thread::spawn(move || server.run(&flag));
+        let evicted = ids[total - MAX_FINISHED_REQUESTS - 1];
+        let kept = ids[total - MAX_FINISHED_REQUESTS];
+        assert_eq!(get(addr, &format!("/v1/experiments/{evicted}")), 404);
+        assert_eq!(
+            get(addr, &format!("/v1/experiments/{evicted}/artifact")),
+            404
+        );
+        assert_eq!(get(addr, &format!("/v1/experiments/{kept}")), 200);
+        assert_eq!(get(addr, &format!("/v1/experiments/{kept}/artifact")), 200);
+        shutdown.store(true, Ordering::SeqCst);
+        daemon.join().unwrap().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -3,7 +3,11 @@
 //! spanning `stacksim-core`'s session, executor and cache layers.
 
 use std::path::PathBuf;
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
+use stacksim::core::harness::json::Json;
+use stacksim::core::harness::{Ctx, Digest, Experiment, ParamSensitivity, RequestJournal};
 use stacksim::core::memory_logic::run_benchmark_instrumented;
 use stacksim::core::prelude::*;
 use stacksim::workloads::RmsBenchmark;
@@ -312,7 +316,7 @@ fn wait_timeout_is_bounded() {
     );
     sim.resume();
     let outcome = handle
-        .wait_timeout(std::time::Duration::from_secs(60))
+        .wait_timeout(Duration::from_secs(60))
         .expect("resumed work finishes");
     assert!(outcome.is_ok(), "{:?}", outcome.report.error);
 }
@@ -376,4 +380,194 @@ fn injected_dispatch_panic_resolves_every_handle() {
     assert!(after.is_ok(), "{:?}", after.report.error);
     // a slot releases its admission count before its waiters wake
     assert_eq!(sim.stats().inflight, 0, "nothing left queued or running");
+}
+
+/// A latch a [`Gated`] experiment blocks on until the test opens it.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+
+    /// Blocks until opened, or for at most a minute so a failing test
+    /// cannot hang the suite.
+    fn wait(&self) {
+        let open = self.open.lock().unwrap();
+        let _ = self
+            .opened
+            .wait_timeout_while(open, Duration::from_secs(60), |open| !*open)
+            .unwrap();
+    }
+}
+
+/// A trivial experiment that finishes at once, fails at once when
+/// `fail` is set, or holds its worker until `gate` opens.
+struct Gated {
+    name: &'static str,
+    deps: &'static [&'static str],
+    fail: bool,
+    gate: Option<Arc<Gate>>,
+}
+
+impl Experiment for Gated {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn deps(&self) -> Vec<String> {
+        self.deps.iter().map(|d| d.to_string()).collect()
+    }
+
+    fn sensitivity(&self) -> ParamSensitivity {
+        ParamSensitivity::none()
+    }
+
+    fn params_digest(&self, _params: &WorkloadParams) -> String {
+        Digest::new().str(self.name).hex()
+    }
+
+    fn run(&self, _ctx: &Ctx) -> Result<Artifact, Error> {
+        if let Some(gate) = &self.gate {
+            gate.wait();
+        }
+        if self.fail {
+            return Err(Error::Solve(stacksim::thermal::SolveError::EmptyStack));
+        }
+        Ok(Artifact::Table5(Vec::new()))
+    }
+}
+
+/// How long a test waits for a request that must resolve while its
+/// batch is still held open (generous: a loaded host is slow, not stuck).
+const EARLY: Duration = Duration::from_secs(30);
+
+/// A paused two-worker session over `fast` (finishes at once), `slow`
+/// (held by the returned gate), `root` (fails at once) and `dependent`
+/// (needs `root`), registered in that order.
+fn gated_session(journal: Option<RequestJournal>) -> (Sim, Arc<Gate>) {
+    let gate = Arc::new(Gate::default());
+    let mut registry = Registry::new();
+    for (name, deps, fail, gated) in [
+        ("fast", &[][..], false, false),
+        ("slow", &[][..], false, true),
+        ("root", &[][..], true, false),
+        ("dependent", &["root"][..], false, false),
+    ] {
+        registry.add(Arc::new(Gated {
+            name,
+            deps,
+            fail,
+            gate: gated.then(|| gate.clone()),
+        }));
+    }
+    let sim = Sim::builder()
+        .registry(registry)
+        .jobs(2)
+        .journal(journal.map(Arc::new))
+        .start_paused(true)
+        .build();
+    (sim, gate)
+}
+
+/// A request resolves when its own experiment finishes, not when its
+/// batch does: the fast handle is done while the slow one, in the same
+/// batch, is still running.
+#[test]
+fn a_request_resolves_while_its_batch_is_still_running() {
+    let (sim, gate) = gated_session(None);
+    let slow = sim.submit(&ExperimentRequest::new("slow")).unwrap();
+    let fast = sim.submit(&ExperimentRequest::new("fast")).unwrap();
+    sim.resume();
+    let early = fast.wait_timeout(EARLY);
+    let slow_then = slow.status();
+    gate.open();
+    assert!(early.is_some_and(|o| o.is_ok()), "fast waited for slow");
+    assert_eq!(slow_then, RequestStatus::Running);
+    assert!(slow.wait().is_ok());
+}
+
+/// A dependent skipped because its dependency failed resolves when the
+/// dependency fails, not when the rest of the batch finishes.
+#[test]
+fn a_skipped_dependent_resolves_when_its_dependency_fails() {
+    let (sim, gate) = gated_session(None);
+    let slow = sim.submit(&ExperimentRequest::new("slow")).unwrap();
+    let dependent = sim.submit(&ExperimentRequest::new("dependent")).unwrap();
+    sim.resume();
+    let early = dependent.wait_timeout(EARLY);
+    let slow_then = slow.status();
+    gate.open();
+    let skipped = early.expect("the skipped dependent waited for slow");
+    assert_eq!(
+        skipped.report.error_kind.as_deref(),
+        Some("dependency-failed")
+    );
+    assert_eq!(skipped.report.attempts, 0, "the dependent never ran");
+    assert_eq!(slow_then, RequestStatus::Running);
+    assert!(slow.wait().is_ok());
+}
+
+/// Slots may finish early, but the batch outcome is recorded before the
+/// batch's last slot finishes: after both waits, draining returns
+/// exactly the one batch, rows in registration order.
+#[test]
+fn a_batch_whose_first_slot_finishes_early_still_drains_whole() {
+    let (sim, gate) = gated_session(None);
+    let fast = sim.submit(&ExperimentRequest::new("fast")).unwrap();
+    let slow = sim.submit(&ExperimentRequest::new("slow")).unwrap();
+    sim.resume();
+    let early = fast.wait_timeout(EARLY);
+    let drained_early = sim.drain_outcomes().len();
+    gate.open();
+    assert!(early.is_some(), "fast waited for slow");
+    assert_eq!(drained_early, 0, "the batch is not over yet");
+    slow.wait();
+    fast.wait();
+    let batches = sim.drain_outcomes();
+    assert_eq!(batches.len(), 1, "one batch, drained once");
+    let rows: Vec<&str> = batches[0]
+        .report
+        .entries
+        .iter()
+        .map(|e| e.name.as_str())
+        .collect();
+    assert_eq!(rows, ["fast", "slow"]);
+    assert!(batches[0].errors.is_empty());
+}
+
+/// The journal's `done` line for a request is written when that request
+/// finishes: the fast request is marked done while the slow one in the
+/// same batch is not.
+#[test]
+fn the_journal_marks_each_request_done_when_it_finishes() {
+    let dir = scratch_dir("journal-early");
+    let path = dir.join("requests.jsonl");
+    let journal = RequestJournal::recover(&path).unwrap().journal;
+    let (sim, gate) = gated_session(Some(journal));
+    let slow = sim.submit(&ExperimentRequest::new("slow")).unwrap();
+    let fast = sim.submit(&ExperimentRequest::new("fast")).unwrap();
+    sim.resume();
+    let done_ids = || -> Vec<u64> {
+        let text = std::fs::read_to_string(&path).unwrap();
+        text.lines()
+            .filter_map(|line| Json::parse(line).ok())
+            .filter(|doc| doc.get("ev").and_then(Json::as_str) == Some("done"))
+            .filter_map(|doc| doc.get("id").and_then(Json::as_u64))
+            .collect()
+    };
+    let early = fast.wait_timeout(EARLY);
+    let done_early = done_ids();
+    gate.open();
+    assert!(early.is_some(), "fast waited for slow");
+    assert_eq!(done_early, [fast.id()], "only the finished request is done");
+    slow.wait();
+    assert_eq!(done_ids(), [fast.id(), slow.id()]);
+    drop(sim);
+    let _ = std::fs::remove_dir_all(&dir);
 }
